@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 benchmarks/run.py --workload mc_large --seed 1 --seconds 30 --trace 0
+    python3 benchmarks/run.py --workload mc_large --seed 1 --seconds 45 --trace 0
     python3 benchmarks/run.py --selfcheck
 
 Each run starts the workload in fresh worker processes (``worker.py``) that
@@ -231,7 +231,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--seconds", type=int, default=45)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--selfcheck", action="store_true")
     args = parser.parse_args()

@@ -126,7 +126,13 @@ class Workload:
 
 
 class McLarge(Workload):
-    """run_scenario on the default scene, then both report writers."""
+    """run_scenario on the default scene and both report writers, then one
+    scene_scalar op.
+
+    The scene_scalar op adds about 1 % to the op time. It is here so that
+    the workloads run by default still reach ``pointprocess``, ``geometry``
+    and ``doppler``, whose calls the traced run then times.
+    """
 
     name = "mc_large"
     # The CLI default config's seed: the statistical gate runs on a frozen
@@ -147,7 +153,11 @@ class McLarge(Workload):
         self.users = self.scenario.n_users * self.scenario.trials
         self.csv_path = tmp / "report.csv"
         self.summary_path = tmp / "summary.txt"
+        # The cell draws are the inputs that come from the benchmark seed.
+        self.cell = SceneScalar(seed, tiny, tmp)
         self.users_done = 0
+        # Time of run() alone in each op: the base of thread_speedup.
+        self.run_seconds: list[float] = []
         self.last_report = None
 
     def sizes(self):
@@ -158,6 +168,7 @@ class McLarge(Workload):
             "threads": self.THREADS,
             "scene_seed": self.SCENE_SEED,
             "float64_column_mb": self.users * 8 / 1e6,
+            "scene_scalar_per_op": self.cell.sizes(),
         }
 
     def run(self, threads: int):
@@ -167,9 +178,16 @@ class McLarge(Workload):
         return report
 
     def op(self):
-        return self.run(self.THREADS)
+        start = time.perf_counter()
+        report = self.run(self.THREADS)
+        run_s = time.perf_counter() - start
+        return report, run_s, self.cell.op()
 
-    def check(self, report):
+    def check(self, out):
+        report, _, cell = out
+        return self.check_report(report) + self.cell.check(cell)
+
+    def check_report(self, report):
         errors = []
         n = self.users - report.excluded
         if not report.ks_bound <= _ks_gate(n):
@@ -187,10 +205,11 @@ class McLarge(Workload):
             errors.append("report CSV missing")
         return errors
 
-    def record(self, report, seconds):
-        super().record(report, seconds)
+    def record(self, out, seconds):
+        super().record(out, seconds)
         self.users_done += self.users
-        self.last_report = report
+        self.last_report, run_s, _ = out
+        self.run_seconds.append(run_s)
 
     def throughput(self):
         rate = _ratio(self.users_done, sum(self.op_seconds))
@@ -203,11 +222,11 @@ class McLarge(Workload):
         start = time.perf_counter()
         single = self.run(1)
         elapsed = time.perf_counter() - start
-        errors = self.check(single)
+        errors = self.check_report(single)
         if base is None or not _reports_identical(single, base):
             errors.append("threads=1 report differs from threads=2 report")
         tally.add(errors)
-        p50 = statistics.median(self.op_seconds) if self.op_seconds else 0.0
+        p50 = statistics.median(self.run_seconds) if self.run_seconds else 0.0
         return {"montecarlo.thread_speedup": elapsed / p50 if p50 else 0.0}
 
 
