@@ -15,6 +15,7 @@ Exit codes: 0 ok, 2 config parse error, 3 validation error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,7 +31,14 @@ from .distributions import (
     min_doppler_cdf,
 )
 from .geometry import SatelliteConfig
-from .montecarlo import ScenarioConfig, run_scenario, write_report_csv, write_summary
+from .montecarlo import (
+    MAX_GRID_POINTS,
+    MAX_USERS,
+    ScenarioConfig,
+    run_scenario,
+    write_report_csv,
+    write_summary,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -148,12 +156,12 @@ def _resolve(values: dict[str, float]) -> RunConfig:
     if "r_hat_km" not in merged:
         merged["r_hat_km"] = 2.0 * merged["rho_km"]
     for key in _INT_KEYS:
-        if int(merged[key]) != merged[key]:
+        if not math.isfinite(merged[key]) or int(merged[key]) != merged[key]:
             raise ConfigValidationError(f"{key} must be an integer, got {merged[key]}")
         merged[key] = int(merged[key])
-    if merged["grid_points"] < 2:
+    if not 2 <= merged["grid_points"] <= MAX_GRID_POINTS:
         raise ConfigValidationError(
-            f"grid_points must be at least 2, got {merged['grid_points']}"
+            f"grid_points must be 2 to {MAX_GRID_POINTS}, got {merged['grid_points']}"
         )
     try:
         satellite = SatelliteConfig(
@@ -172,6 +180,11 @@ def _resolve(values: dict[str, float]) -> RunConfig:
             raise ValueError(f"n_users must be at least 1, got {merged['n_users']}")
         if merged["trials"] < 1:
             raise ValueError(f"trials must be at least 1, got {merged['trials']}")
+        if merged["n_users"] * merged["trials"] > MAX_USERS:
+            raise ValueError(
+                f"n_users * trials must be at most {MAX_USERS}, "
+                f"got {merged['n_users']} * {merged['trials']}"
+            )
         if not 0 <= merged["seed"] < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {merged['seed']}")
     except ValueError as exc:
@@ -376,7 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if name in ("simulate", "figure"):
             cmd.add_argument(
-                "--threads", type=int, default=1, help="worker threads (default: 1)"
+                "--threads",
+                type=int,
+                default=1,
+                help="worker threads, at most one per sampling chunk (default: 1)",
             )
         if name == "figure":
             cmd.add_argument(

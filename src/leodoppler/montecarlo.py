@@ -9,12 +9,21 @@ along-track phase to the sub-satellite point). Comparing the empirical laws
 of the exact shift and of the planar envelope against the analytic CDF
 quantifies both Monte Carlo agreement and the envelope's pessimism.
 
-Sampling is split into fixed chunks with independent child seeds, so results
-are identical for any worker count.
+Sampling is split into fixed chunks with independent child seeds; each
+worker thread takes every k-th chunk. A worker draws its chunks' users in
+batches of at most 2^16 and reduces each batch at once to integer counts of
+samples at or below a fixed set of edges: the report grid plus up to 2^16
+edges spread evenly in planar distance over the cluster. Integer sums do
+not depend on their order, so results are identical for any worker count,
+and memory is O(edges + batch) whatever the number of users. The grid
+columns are exact. The KS distances are upper bounds computed from the
+counts and the analytic CDF at the edges; each exceeds the exact statistic
+by at most one bin's probability mass.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -39,7 +48,30 @@ from .geometry import (
 # depend on the number of workers.
 _N_CHUNKS = 64
 
+# Users drawn and binned at once; small enough for the batch's arrays to
+# stay in cache, large enough that per-call overhead is small.
+_BATCH = 1 << 16
+
+# The KS edges number ceil(64 sqrt(n)) for n users, at most 2^16: enough to
+# keep the bracket far inside the sampling error 1/sqrt(n), few enough that
+# small runs stay cheap.
+_KS_EDGES_PER_SQRT_N = 64
+_MAX_KS_EDGES = 1 << 16
+
+# Largest run accepted: n_users * trials users (1e9 take about 5 minutes
+# on one core) and a report grid of this many points.
+MAX_USERS = 10**9
+MAX_GRID_POINTS = 10**6
+
 _REPORT_CSV_HEADER = "x_hz,cdf_analytic,cdf_emp_exact,cdf_emp_bound"
+
+
+def _integral(value) -> bool:
+    """True for a finite number without a fractional part."""
+    try:
+        return int(value) == value
+    except (OverflowError, TypeError, ValueError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -49,9 +81,12 @@ class ScenarioConfig:
     Attributes:
         cfg: Satellite description.
         rho: Cluster disk radius in metres (> 0).
-        r_hat: Planar distance from cluster centre to sub-satellite point (>= 0).
+        r_hat: Planar distance from cluster centre to sub-satellite point
+            (>= 0); rho + r_hat may not exceed the tangent-plane validity
+            radius pi * r_E / 4.
         n_users: Users per trial (>= 1).
-        trials: Number of cluster realisations (>= 1).
+        trials: Number of cluster realisations (>= 1); n_users * trials is
+            at most MAX_USERS.
         seed: 64-bit seed for the sample streams.
         cluster_center_on_track: True places the sub-satellite point on the
             ground track through the cluster centre at along-track distance
@@ -72,11 +107,22 @@ class ScenarioConfig:
             raise ValueError(f"cluster radius must be positive, got {self.rho}")
         if not (self.r_hat >= 0.0 and math.isfinite(self.r_hat)):
             raise ValueError(f"centre offset must be nonnegative, got {self.r_hat}")
-        if int(self.n_users) != self.n_users or self.n_users < 1:
+        limit = math.pi * self.cfg.r_e / 4.0
+        if self.rho + self.r_hat > limit:
+            raise ValueError(
+                f"cluster reaches {self.rho + self.r_hat:.1f} m from the sub-satellite "
+                f"point, beyond the tangent-plane validity radius {limit:.1f} m"
+            )
+        if not (_integral(self.n_users) and self.n_users >= 1):
             raise ValueError(f"users per trial must be a positive integer, got {self.n_users}")
-        if int(self.trials) != self.trials or self.trials < 1:
+        if not (_integral(self.trials) and self.trials >= 1):
             raise ValueError(f"trial count must be a positive integer, got {self.trials}")
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
+        if self.n_users * self.trials > MAX_USERS:
+            raise ValueError(
+                f"n_users * trials must be at most {MAX_USERS}, "
+                f"got {self.n_users} * {self.trials}"
+            )
+        if not (_integral(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
@@ -108,7 +154,8 @@ def ks_distance(ecdf: EmpiricalCdf, cdf) -> float:
     """Kolmogorov-Smirnov distance between an empirical and an analytic CDF.
 
     Evaluates sup over the sample points of max(|i/n - F(x_i)|,
-    |(i-1)/n - F(x_i)|) with the samples in ascending order.
+    |(i-1)/n - F(x_i)|) with the samples in ascending order. This is the
+    exact statistic that run_scenario's binned upper bound brackets.
     """
     f = np.asarray(cdf(ecdf.samples), dtype=float)
     n = ecdf.samples.size
@@ -126,8 +173,10 @@ class ComparisonReport:
         cdf_analytic: Closed-form CDF on the grid.
         cdf_emp_exact: Empirical CDF of the exact spherical Doppler magnitude.
         cdf_emp_bound: Empirical CDF of the planar envelope magnitude.
-        ks_bound: KS distance, envelope samples vs analytic CDF.
-        ks_exact: KS distance, exact samples vs analytic CDF.
+        ks_bound: Upper bound on the KS distance, envelope samples vs
+            analytic CDF; above the exact statistic by at most one bin's
+            probability mass.
+        ks_exact: The same upper bound for the exact samples.
         dominance_violations: Grid points where the analytic CDF exceeds the
             exact empirical CDF by more than three binomial standard errors.
         excluded: Users dropped because the satellite sat below their horizon.
@@ -211,24 +260,108 @@ def bound_doppler_for_user(p: PlanarPoint, scenario: ScenarioConfig) -> float:
     return float(out[0])
 
 
-def _chunk_sizes(trials: int) -> list[int]:
-    n_chunks = min(trials, _N_CHUNKS)
-    base, extra = divmod(trials, n_chunks)
-    return [base + (1 if i < extra else 0) for i in range(n_chunks)]
+def _chunk_jobs(scenario: ScenarioConfig) -> list[tuple[np.random.SeedSequence, int]]:
+    """(child seed, trials) of each chunk, in chunk order."""
+    n_chunks = min(scenario.trials, _N_CHUNKS)
+    base, extra = divmod(scenario.trials, n_chunks)
+    seeds = np.random.SeedSequence(scenario.seed).spawn(n_chunks)
+    return [(seed, base + (1 if i < extra else 0)) for i, seed in enumerate(seeds)]
 
 
-def _run_chunk(
-    scenario: ScenarioConfig, child_seed: np.random.SeedSequence, chunk_trials: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(child_seed)
-    count = chunk_trials * scenario.n_users
-    radii = scenario.rho * np.sqrt(rng.random(count))
-    angles = 2.0 * math.pi * rng.random(count)
+def _uniform_batches(jobs: list, n_users: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The chunks' uniform draws, packed into batches of at most _BATCH users.
+
+    Chunk k contributes the same numbers as rng.random(count) twice with
+    rng = default_rng(seed_k) and count = trials_k * n_users: the first
+    draw to the radius column, the second to the angle column. The angles
+    come from a second generator advanced past the radius draws, so a chunk
+    can be split across batches. The two columns are reused buffers, valid
+    until the next batch is requested.
+    """
+    size = min(_BATCH, n_users * sum(trials for _, trials in jobs))
+    radius, angle = np.empty(size), np.empty(size)
+    filled = 0
+    for child_seed, trials in jobs:
+        count = trials * n_users
+        radius_rng = np.random.default_rng(child_seed)
+        angle_bits = np.random.PCG64(child_seed)
+        angle_bits.advance(count)
+        angle_rng = np.random.Generator(angle_bits)
+        while count:
+            take = min(count, size - filled)
+            radius_rng.random(out=radius[filled : filled + take])
+            angle_rng.random(out=angle[filled : filled + take])
+            filled += take
+            count -= take
+            if filled == size:
+                yield radius, angle
+                filled = 0
+    if filled:
+        yield radius[:filled], angle[:filled]
+
+
+def _batch_magnitudes(
+    scenario: ScenarioConfig, u_radius: np.ndarray, u_angle: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact and envelope magnitudes of a batch's visible users, and the
+    number of users that could not see the satellite."""
+    radii = scenario.rho * np.sqrt(u_radius)
+    angles = 2.0 * math.pi * u_angle
     x = radii * np.cos(angles)
     y = radii * np.sin(angles)
     chi, visible = _exact_doppler_xy(x, y, scenario)
     bound = _bound_doppler_xy(x, y, scenario)
-    return chi, visible, bound
+    return np.abs(chi[visible]), bound[visible], int(visible.size - np.count_nonzero(visible))
+
+
+def _add_counts(acc: np.ndarray, edges: np.ndarray, values: np.ndarray) -> None:
+    """Add to acc[j] the number of values in (edges[j-1], edges[j]].
+
+    acc has one slot more than edges, for values above the last edge.
+    Sorting first makes the search walk the edges in order, which is far
+    faster than searching for values in random order.
+    """
+    values.sort()
+    counts = np.bincount(np.searchsorted(edges, values, side="left"))
+    acc[: counts.size] += counts
+
+
+def _count_chunks(
+    scenario: ScenarioConfig, edges: np.ndarray, jobs: list
+) -> tuple[np.ndarray, int]:
+    """Bin counts (exact row, envelope row) and exclusions over some chunks."""
+    acc = np.zeros((2, edges.size + 1), dtype=np.int64)
+    excluded = 0
+    for u_radius, u_angle in _uniform_batches(jobs, scenario.n_users):
+        exact, bound, hidden = _batch_magnitudes(scenario, u_radius, u_angle)
+        _add_counts(acc[0], edges, exact)
+        _add_counts(acc[1], edges, bound)
+        excluded += hidden
+    return acc, excluded
+
+
+def _ks_edges(dist: DopplerMagnitudeDistribution, users: int) -> np.ndarray:
+    """Magnitudes at distances spread evenly over the disk's distance range.
+
+    Even spacing in distance rather than in Hz keeps every bin's mass small
+    where the magnitude map x = A z / sqrt(h^2 + z^2) flattens.
+    """
+    m = min(_MAX_KS_EDGES, math.ceil(_KS_EDGES_PER_SQRT_N * math.sqrt(users)))
+    z = np.linspace(max(0.0, dist.r_hat - dist.rho), dist.r_hat + dist.rho, m)
+    return dist.a * z / np.hypot(dist.h, z)
+
+
+def _ks_upper(cum: np.ndarray, n: int, cdf: np.ndarray) -> float:
+    """Upper bound on sup |F_n - F| from cumulative counts at the edges.
+
+    cum[j] samples lie at or below edge j and cdf[j] is F there. Between
+    two edges both laws are monotone, so with C_j = cum[j] / n padded by 0
+    and 1 outside the edges the bound is
+    max_j max(C_j - F_{j-1}, F_j - C_{j-1}).
+    """
+    emp = np.concatenate(([0.0], cum / n, [1.0]))
+    law = np.concatenate(([0.0], cdf, [1.0]))
+    return float(max(np.max(emp[1:] - law[:-1]), np.max(law[1:] - emp[:-1])))
 
 
 def run_scenario(
@@ -241,8 +374,9 @@ def run_scenario(
 
     Args:
         scenario: Frozen serving scene.
-        threads: Worker threads; any value yields identical results.
-        grid_points: Number of grid abscissae (>= 2).
+        threads: Worker threads; any value yields identical results. At most
+            one thread per chunk is started.
+        grid_points: Number of grid abscissae (2 to MAX_GRID_POINTS).
         x_max: Upper grid limit in Hz; defaults to the analytic support top.
 
     Returns:
@@ -250,34 +384,43 @@ def run_scenario(
     """
     if threads < 1:
         raise ValueError(f"thread count must be positive, got {threads}")
-    if grid_points < 2:
-        raise ValueError(f"grid needs at least 2 points, got {grid_points}")
+    if not 2 <= grid_points <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid needs 2 to {MAX_GRID_POINTS} points, got {grid_points}"
+        )
     dist = DopplerMagnitudeDistribution.for_satellite(
         scenario.cfg, scenario.rho, scenario.r_hat
     )
-    sizes = _chunk_sizes(scenario.trials)
-    seeds = np.random.SeedSequence(scenario.seed).spawn(len(sizes))
-    if threads == 1:
-        parts = [_run_chunk(scenario, s, n) for s, n in zip(seeds, sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_run_chunk, [scenario] * len(sizes), seeds, sizes))
-    chi = np.concatenate([p[0] for p in parts])
-    visible = np.concatenate([p[1] for p in parts])
-    bound = np.concatenate([p[2] for p in parts])
-    excluded = int(np.sum(~visible))
-    if excluded == chi.size:
-        raise ValueError("satellite below horizon for every sampled user")
-    ecdf_exact = EmpiricalCdf.from_samples(np.abs(chi[visible]))
-    ecdf_bound = EmpiricalCdf.from_samples(bound[visible])
-
-    analytic = lambda x: doppler_cdf(x, dist)  # noqa: E731
     grid_top = doppler_support_max(dist) if x_max is None else float(x_max)
     grid = np.linspace(0.0, grid_top, grid_points)
-    cdf_analytic = np.asarray(analytic(grid))
-    cdf_emp_exact = ecdf_exact.evaluate(grid)
-    cdf_emp_bound = ecdf_bound.evaluate(grid)
-    n = ecdf_exact.samples.size
+    cdf_analytic = np.asarray(doppler_cdf(grid, dist))
+    users = scenario.n_users * scenario.trials
+    ks_edges = _ks_edges(dist, users)
+    edges = np.sort(np.concatenate((grid, ks_edges)))
+
+    jobs = _chunk_jobs(scenario)
+    workers = min(threads, len(jobs))
+    if workers == 1:
+        parts = [_count_chunks(scenario, edges, jobs)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(
+                pool.map(
+                    lambda w: _count_chunks(scenario, edges, jobs[w::workers]),
+                    range(workers),
+                )
+            )
+    cum = np.cumsum(sum(acc for acc, _ in parts), axis=1)
+    excluded = sum(hidden for _, hidden in parts)
+    if excluded == users:
+        raise ValueError("satellite below horizon for every sampled user")
+    n = users - excluded
+    cum_exact, cum_bound = cum
+    at_grid = np.searchsorted(edges, grid)
+    at_ks = np.searchsorted(edges, ks_edges)
+    ks_cdf = np.asarray(doppler_cdf(ks_edges, dist))
+    cdf_emp_exact = cum_exact[at_grid] / n
+    cdf_emp_bound = cum_bound[at_grid] / n
     gate = 3.0 * np.sqrt(cdf_analytic * (1.0 - cdf_analytic) / n)
     violations = int(np.sum(cdf_analytic > cdf_emp_exact + gate))
     return ComparisonReport(
@@ -285,8 +428,8 @@ def run_scenario(
         cdf_analytic=cdf_analytic,
         cdf_emp_exact=cdf_emp_exact,
         cdf_emp_bound=cdf_emp_bound,
-        ks_bound=ks_distance(ecdf_bound, analytic),
-        ks_exact=ks_distance(ecdf_exact, analytic),
+        ks_bound=_ks_upper(cum_bound[at_ks], n, ks_cdf),
+        ks_exact=_ks_upper(cum_exact[at_ks], n, ks_cdf),
         dominance_violations=violations,
         excluded=excluded,
     )

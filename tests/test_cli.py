@@ -288,6 +288,36 @@ def test_main_validation_error_exit_code(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("n_users = inf", "n_users must be an integer, got inf"),
+        ("n_users = nan", "n_users must be an integer, got nan"),
+        ("n_users = 1e30", "n_users * trials must be at most"),
+        ("trials = -inf", "trials must be an integer, got -inf"),
+        ("seed = inf", "seed must be an integer, got inf"),
+        ("grid_points = 1e7", "grid_points must be 2 to 1000000"),
+        ("r_hat_km = 5000", "tangent-plane validity radius"),
+    ],
+)
+def test_main_rejects_oversized_and_non_finite_values(
+    tmp_path, capsys, no_sampling, line, message
+):
+    cfg = _write_config(tmp_path, f"h_km = 600\n{line}\n")
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_main_caps_threads_at_chunk_count(tmp_path, capsys, pool_sizes):
+    code = main(["simulate", "--threads", "1000000", "--out", str(tmp_path / "many")])
+    assert code == EXIT_OK
+    assert pool_sizes == [64]
+    assert main(["simulate", "--out", str(tmp_path / "one")]) == EXIT_OK
+    for name in ("simulate_report.csv", "simulate_summary.txt"):
+        assert (tmp_path / "many" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 def test_main_io_error_exit_code(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("occupied")

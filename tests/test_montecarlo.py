@@ -7,10 +7,12 @@ gates use frozen seeds that were checked to pass with margin.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from leodoppler import montecarlo
 from leodoppler.distributions import (
     DopplerMagnitudeDistribution,
     doppler_cdf,
@@ -25,6 +27,7 @@ from leodoppler.geometry import (
     elevation_from_central_angle,
 )
 from leodoppler.montecarlo import (
+    MAX_GRID_POINTS,
     ComparisonReport,
     EmpiricalCdf,
     ScenarioConfig,
@@ -239,6 +242,141 @@ def test_scenario_config_validation():
         _scenario(seed=-1)
     with pytest.raises(ValueError):
         _scenario(seed=2**64)
+
+
+def test_scenario_config_rejects_non_finite_and_oversized_counts():
+    for key in ("n_users", "trials", "seed"):
+        for bad in (math.inf, -math.inf, math.nan, 2.5):
+            with pytest.raises(ValueError):
+                _scenario(**{key: bad})
+    with pytest.raises(ValueError, match="at most"):
+        _scenario(n_users=10**5, trials=10**5)
+    _scenario(n_users=10**3, trials=10**6)
+
+
+def test_scenario_config_enforces_tangent_plane_radius():
+    # pi * r_E / 4 is 5.004e6 m for the standard Earth.
+    _scenario(rho=100e3, r_hat=4.8e6)
+    with pytest.raises(ValueError, match="validity radius"):
+        _scenario(rho=100e3, r_hat=4.95e6)
+
+
+def test_run_scenario_caps_grid_before_sampling(no_sampling):
+    with pytest.raises(ValueError, match="grid"):
+        run_scenario(_scenario(), grid_points=MAX_GRID_POINTS + 1)
+
+
+def test_run_scenario_caps_threads_at_chunk_count(pool_sizes):
+    sc = _scenario(trials=10)
+    report = run_scenario(sc, threads=10**6, grid_points=64)
+    assert pool_sizes == [10]
+    single = run_scenario(sc, threads=1, grid_points=64)
+    assert pool_sizes == [10]
+    assert np.array_equal(report.cdf_emp_exact, single.cdf_emp_exact)
+    assert report.ks_exact == single.ks_exact
+
+
+# --------------------------------------------------- binned reduction ----
+
+def _reference_samples(sc: ScenarioConfig):
+    """Every chunk drawn whole from one generator, as rng.random(count)
+    twice, then transformed; returns (exact, envelope, excluded)."""
+    exact, bound, excluded = [], [], 0
+    for child_seed, trials in montecarlo._chunk_jobs(sc):
+        rng = np.random.default_rng(child_seed)
+        count = trials * sc.n_users
+        u_radius = rng.random(count)
+        u_angle = rng.random(count)
+        e, b, hidden = montecarlo._batch_magnitudes(sc, u_radius, u_angle)
+        exact.append(e)
+        bound.append(b)
+        excluded += hidden
+    return np.concatenate(exact), np.concatenate(bound), excluded
+
+
+def test_batches_reproduce_one_generator_per_chunk():
+    batch = montecarlo._BATCH
+    seeds = np.random.SeedSequence(5).spawn(3)
+    n_users = 2
+    # The middle chunk spans three batches and shares two with its neighbours.
+    jobs = [(seeds[0], 3), (seeds[1], batch + 5), (seeds[2], 7)]
+    batches = [
+        (r.copy(), a.copy()) for r, a in montecarlo._uniform_batches(jobs, n_users)
+    ]
+    assert [r.size for r, _ in batches] == [batch, batch, 2 * (3 + 5 + 7)]
+    radius, angle = [], []
+    for child_seed, trials in jobs:
+        rng = np.random.default_rng(child_seed)
+        radius.append(rng.random(trials * n_users))
+        angle.append(rng.random(trials * n_users))
+    assert np.array_equal(np.concatenate([r for r, _ in batches]), np.concatenate(radius))
+    assert np.array_equal(np.concatenate([a for _, a in batches]), np.concatenate(angle))
+
+
+def test_add_counts_bins_values_at_or_below_each_edge():
+    edges = np.array([1.0, 2.0, 3.0])
+    acc = np.zeros(edges.size + 1, dtype=np.int64)
+    montecarlo._add_counts(acc, edges, np.array([3.0, 0.5, 1.0, 2.5, 9.0, 2.0]))
+    # (-inf, 1], (1, 2], (2, 3], above 3: a value on an edge counts there.
+    assert acc.tolist() == [2, 1, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"trials": 20_000},  # chunks of 2 500 users split across batches
+        {"r_hat": 2.65e6, "trials": 500, "seed": 3},
+        {"n_users": 3, "trials": 7, "cluster_center_on_track": False},
+    ],
+)
+def test_grid_columns_equal_exact_empirical_cdf(overrides):
+    sc = _scenario(**overrides)
+    report = run_scenario(sc, threads=2, grid_points=256)
+    exact, bound, excluded = _reference_samples(sc)
+    assert report.excluded == excluded
+    grid = report.x_hz
+    assert np.array_equal(report.cdf_emp_exact, EmpiricalCdf.from_samples(exact).evaluate(grid))
+    assert np.array_equal(report.cdf_emp_bound, EmpiricalCdf.from_samples(bound).evaluate(grid))
+
+
+@pytest.mark.parametrize(
+    "overrides, x_max",
+    [
+        ({}, None),
+        ({"cluster_center_on_track": False}, None),
+        ({"r_hat": 2.65e6, "trials": 500, "seed": 3}, None),
+        ({}, 30e3),
+    ],
+)
+def test_reported_ks_brackets_exact_statistic(overrides, x_max):
+    sc = _scenario(**overrides)
+    report = run_scenario(sc, grid_points=128, x_max=x_max)
+    dist = DopplerMagnitudeDistribution.for_satellite(sc.cfg, sc.rho, sc.r_hat)
+    edges = montecarlo._ks_edges(dist, sc.n_users * sc.trials)
+    law_at_edges = doppler_cdf(edges, dist)
+    bin_mass = np.max(np.diff(np.concatenate(([0.0], law_at_edges, [1.0]))))
+    exact, bound, _ = _reference_samples(sc)
+    # The bracket's slack sits far inside the sampling error 1/sqrt(n).
+    assert bin_mass < 0.1 / math.sqrt(exact.size)
+    for reported, samples in ((report.ks_exact, exact), (report.ks_bound, bound)):
+        exact_ks = ks_distance(EmpiricalCdf.from_samples(samples), lambda x: doppler_cdf(x, dist))
+        assert exact_ks <= reported <= exact_ks + bin_mass
+
+
+def test_peak_memory_flat_in_trial_count():
+    def peak_bytes(trials: int) -> int:
+        tracemalloc.start()
+        try:
+            run_scenario(_scenario(trials=trials))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(1250)  # one-time allocations
+    small, large = peak_bytes(12_500), peak_bytes(125_000)
+    # Holding the 1e6 samples would take 16 MB for the two magnitudes alone.
+    assert large <= 1.5 * small
 
 
 # ------------------------------------------------------------- output ----
