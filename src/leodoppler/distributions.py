@@ -10,7 +10,8 @@ variables. Order statistics over N independent users and the closed
 overhead special case (r_hat = 0) come with it.
 
 All functions accept scalars or ndarrays for the evaluation point and are
-strict about SI units (metres, hertz).
+strict about SI units (metres, hertz). A NaN evaluation point raises
+ValueError.
 """
 from __future__ import annotations
 
@@ -22,6 +23,10 @@ import numpy as np
 from .geometry import SatelliteConfig, angular_velocity_ecf, clamp_unit, orbital_radius
 
 _QUANTILE_TOL_HZ = 1e-6
+# Bisection halves the bracket until it is at most max(1e-6 Hz, two float
+# spacings at its top); from a top below 2^1024 Hz that takes under 1100
+# steps, so the cap only guards against a bracket that stops shrinking.
+_QUANTILE_MAX_STEPS = 1100
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,8 @@ class DiskDistanceDistribution:
 
 def _eval_points(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
+    if np.isnan(arr).any():
+        raise ValueError("evaluation point is NaN")
     return np.atleast_1d(arr), arr.ndim == 0
 
 
@@ -186,9 +193,16 @@ def doppler_support_min(dist: DopplerMagnitudeDistribution) -> float:
     return _magnitude_at_distance(dist, max(0.0, dist.r_hat - dist.rho))
 
 
-def _distance_of_magnitude(x: np.ndarray, dist: DopplerMagnitudeDistribution) -> np.ndarray:
-    # Inverse of x = A z / sqrt(h^2 + z^2); callers guarantee x < A.
-    return dist.h * x / np.sqrt(dist.a**2 - x**2)
+def _distance_of_magnitude(
+    x: np.ndarray, dist: DopplerMagnitudeDistribution, out: np.ndarray | None = None
+) -> np.ndarray:
+    # Inverse of x = A z / sqrt(h^2 + z^2); callers guarantee x < A. Computed
+    # as (h x) / sqrt(A^2 - x^2) with one temporary; out receives the result.
+    den = np.square(x)
+    np.subtract(dist.a**2, den, out=den)
+    np.sqrt(den, out=den)
+    num = np.multiply(dist.h, x, out=out)
+    return np.divide(num, den, out=num)
 
 
 def doppler_cdf(x, dist: DopplerMagnitudeDistribution):
@@ -220,9 +234,11 @@ def doppler_pdf(x, dist: DopplerMagnitudeDistribution):
 
 
 def doppler_quantile(p, dist: DopplerMagnitudeDistribution):
-    """Smallest magnitude x with CDF(x) >= p, by bisection to 1e-6 Hz.
+    """Smallest magnitude x with CDF(x) >= p, by bisection.
 
-    p = 0 returns the lower support edge, p = 1 the upper one.
+    Bisection stops once the bracket is at most 1e-6 Hz wide, or two float
+    spacings at its top where those exceed 1e-6 Hz. p = 0 returns the lower
+    support edge, p = 1 the upper one.
     """
     pp, scalar = _eval_points(p)
     if np.any((pp < 0.0) | (pp > 1.0)):
@@ -232,7 +248,10 @@ def doppler_quantile(p, dist: DopplerMagnitudeDistribution):
     lo = np.full_like(pp, lo_edge)
     hi = np.full_like(pp, hi_edge)
     interior = (pp > 0.0) & (pp < 1.0)
-    while np.any((hi[interior] - lo[interior]) > _QUANTILE_TOL_HZ):
+    for _ in range(_QUANTILE_MAX_STEPS):
+        tol = np.maximum(_QUANTILE_TOL_HZ, 2.0 * np.spacing(hi[interior]))
+        if not np.any((hi[interior] - lo[interior]) > tol):
+            break
         mid = 0.5 * (lo + hi)
         reached = doppler_cdf(mid, dist) >= pp
         step_down = interior & reached

@@ -13,12 +13,15 @@ Sampling is split into fixed chunks with independent child seeds; each
 worker thread takes every k-th chunk. A worker draws its chunks' users in
 batches of at most 2^16 and reduces each batch at once to integer counts of
 samples at or below a fixed set of edges: the report grid plus up to 2^16
-edges spread evenly in planar distance over the cluster. Integer sums do
-not depend on their order, so results are identical for any worker count,
-and memory is O(edges + batch) whatever the number of users. The grid
-columns are exact. The KS distances are upper bounds computed from the
-counts and the analytic CDF at the edges; each exceeds the exact statistic
-by at most one bin's probability mass.
+edges spread evenly in planar distance over the cluster. Both edge families
+are evenly spaced in a known coordinate (the grid in Hz, the KS edges in
+distance), so each sample's bin is guessed in O(1) and then checked against
+the edges on either side; only samples that fail the check are searched
+for. Integer sums do not depend on their order, so results are identical
+for any worker count, and memory is O(edges + batch) whatever the number of
+users. The grid columns are exact. The KS distances are upper bounds
+computed from the counts and the analytic CDF at the edges; each exceeds
+the exact statistic by at most one bin's probability mass.
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ import numpy as np
 
 from .distributions import (
     DopplerMagnitudeDistribution,
+    _distance_of_magnitude,
     doppler_cdf,
     doppler_support_max,
     param_A,
@@ -48,8 +52,11 @@ from .geometry import (
 # depend on the number of workers.
 _N_CHUNKS = 64
 
-# Users drawn and binned at once; small enough for the batch's arrays to
-# stay in cache, large enough that per-call overhead is small.
+# Users drawn and binned at once. Each worker reuses one set of arrays of
+# this length (about 4 MB at 2^16) for all its batches. Every numpy call
+# covers a whole batch, which keeps the per-call overhead and the threads'
+# waits for the interpreter lock between calls small: 2^15 was about 9 %
+# slower on 2 threads.
 _BATCH = 1 << 16
 
 # The KS edges number ceil(64 sqrt(n)) for n users, at most 2^16: enough to
@@ -198,10 +205,9 @@ def _sub_satellite_xy(scenario: ScenarioConfig) -> tuple[float, float]:
     return 0.0, scenario.r_hat
 
 
-def _pass_angles(
-    x: np.ndarray, y: np.ndarray, scenario: ScenarioConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-track angle beta and along-track phase delta for each user.
+def _pass_angles(x: np.ndarray, y: np.ndarray, scenario: ScenarioConfig) -> None:
+    """Turn planar positions into pass angles in place: y becomes the
+    cross-track angle beta and x the along-track phase delta.
 
     The phase is the along-track angle from the user's closest-approach
     point to the sub-satellite point, i.e. delta = dt * omega_F of the
@@ -209,35 +215,61 @@ def _pass_angles(
     """
     r_e = scenario.cfg.r_e
     if scenario.cluster_center_on_track:
-        beta = y / r_e
-        delta = (scenario.r_hat - x) / r_e
+        y /= r_e
+        np.subtract(scenario.r_hat, x, out=x)
     else:
-        beta = (scenario.r_hat - y) / r_e
-        delta = -x / r_e
-    return beta, delta
+        np.subtract(scenario.r_hat, y, out=y)
+        y /= r_e
+        np.negative(x, out=x)
+    x /= r_e
 
 
 def _exact_doppler_xy(
-    x: np.ndarray, y: np.ndarray, scenario: ScenarioConfig
+    x: np.ndarray, y: np.ndarray, scenario: ScenarioConfig, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact signed Doppler per user and a visibility mask."""
+    """Exact signed Doppler per user, returned in x, and a visibility mask.
+
+    Overwrites x, y and work, a (2, n) float array. The steps follow the
+    order of s = sqrt(r_e^2 + r_o^2 - 2 r_o r_e cos(gamma)) and
+    chi = -(f_c / c) r_e r_o omega_F sin(delta) cos(beta) / s.
+    """
     cfg = scenario.cfg
     r_o = orbital_radius(cfg)
     omega_f = angular_velocity_ecf(cfg)
-    beta, delta = _pass_angles(x, y, scenario)
-    theta = np.cos(beta)
-    cos_gamma = theta * np.cos(delta)
-    visible = r_o * cos_gamma >= cfg.r_e
-    s = np.sqrt(cfg.r_e**2 + r_o**2 - 2.0 * r_o * cfg.r_e * cos_gamma)
-    chi = -(cfg.f_c / cfg.c) * cfg.r_e * r_o * omega_f * np.sin(delta) * theta / s
+    _pass_angles(x, y, scenario)
+    chi, theta = x, y
+    s, scratch = work
+    np.cos(theta, out=theta)
+    np.cos(chi, out=s)
+    s *= theta
+    visible = np.multiply(r_o, s, out=scratch) >= cfg.r_e
+    s *= 2.0 * r_o * cfg.r_e
+    np.subtract(cfg.r_e**2 + r_o**2, s, out=s)
+    np.sqrt(s, out=s)
+    np.sin(chi, out=chi)
+    chi *= -(cfg.f_c / cfg.c) * cfg.r_e * r_o * omega_f
+    chi *= theta
+    chi /= s
     return chi, visible
 
 
-def _bound_doppler_xy(x: np.ndarray, y: np.ndarray, scenario: ScenarioConfig) -> np.ndarray:
-    """Planar envelope magnitude per user."""
+def _bound_doppler_xy(
+    x: np.ndarray, y: np.ndarray, scenario: ScenarioConfig, work: np.ndarray
+) -> np.ndarray:
+    """Planar envelope magnitude A z / sqrt(h^2 + z^2) per user.
+
+    Overwrites work, a (2, n) float array; the magnitudes come back in its
+    first row.
+    """
+    z, slant = work
     sx, sy = _sub_satellite_xy(scenario)
-    z = np.hypot(x - sx, y - sy)
-    return param_A(scenario.cfg) * z / np.hypot(scenario.cfg.h, z)
+    np.subtract(x, sx, out=z)
+    np.subtract(y, sy, out=slant)
+    np.hypot(z, slant, out=z)
+    np.hypot(scenario.cfg.h, z, out=slant)
+    z *= param_A(scenario.cfg)
+    z /= slant
+    return z
 
 
 def exact_doppler_for_user(p: PlanarPoint, scenario: ScenarioConfig) -> float:
@@ -246,7 +278,9 @@ def exact_doppler_for_user(p: PlanarPoint, scenario: ScenarioConfig) -> float:
     Raises:
         BelowHorizonError: If the satellite is below this user's horizon.
     """
-    chi, visible = _exact_doppler_xy(np.array([p.x]), np.array([p.y]), scenario)
+    chi, visible = _exact_doppler_xy(
+        np.array([p.x]), np.array([p.y]), scenario, np.empty((2, 1))
+    )
     if not visible[0]:
         raise BelowHorizonError(
             f"satellite below horizon for user at ({p.x}, {p.y})"
@@ -256,7 +290,7 @@ def exact_doppler_for_user(p: PlanarPoint, scenario: ScenarioConfig) -> float:
 
 def bound_doppler_for_user(p: PlanarPoint, scenario: ScenarioConfig) -> float:
     """Planar envelope magnitude in Hz for a user at planar position p."""
-    out = _bound_doppler_xy(np.array([p.x]), np.array([p.y]), scenario)
+    out = _bound_doppler_xy(np.array([p.x]), np.array([p.y]), scenario, np.empty((2, 1)))
     return float(out[0])
 
 
@@ -266,6 +300,11 @@ def _chunk_jobs(scenario: ScenarioConfig) -> list[tuple[np.random.SeedSequence, 
     base, extra = divmod(scenario.trials, n_chunks)
     seeds = np.random.SeedSequence(scenario.seed).spawn(n_chunks)
     return [(seed, base + (1 if i < extra else 0)) for i, seed in enumerate(seeds)]
+
+
+def _batch_size(jobs: list, n_users: int) -> int:
+    """Users per batch: _BATCH, or all users when there are fewer."""
+    return min(_BATCH, n_users * sum(trials for _, trials in jobs))
 
 
 def _uniform_batches(jobs: list, n_users: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -278,7 +317,7 @@ def _uniform_batches(jobs: list, n_users: int) -> Iterator[tuple[np.ndarray, np.
     can be split across batches. The two columns are reused buffers, valid
     until the next batch is requested.
     """
-    size = min(_BATCH, n_users * sum(trials for _, trials in jobs))
+    size = _batch_size(jobs, n_users)
     radius, angle = np.empty(size), np.empty(size)
     filled = 0
     for child_seed, trials in jobs:
@@ -301,54 +340,171 @@ def _uniform_batches(jobs: list, n_users: int) -> Iterator[tuple[np.ndarray, np.
 
 
 def _batch_magnitudes(
-    scenario: ScenarioConfig, u_radius: np.ndarray, u_angle: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exact and envelope magnitudes of a batch's visible users, and the
-    number of users that could not see the satellite."""
-    radii = scenario.rho * np.sqrt(u_radius)
-    angles = 2.0 * math.pi * u_angle
-    x = radii * np.cos(angles)
-    y = radii * np.sin(angles)
-    chi, visible = _exact_doppler_xy(x, y, scenario)
-    bound = _bound_doppler_xy(x, y, scenario)
-    return np.abs(chi[visible]), bound[visible], int(visible.size - np.count_nonzero(visible))
+    scenario: ScenarioConfig,
+    u_radius: np.ndarray,
+    u_angle: np.ndarray,
+    sink,
+    work: np.ndarray,
+) -> int:
+    """Hand a batch's magnitudes over visible users to sink(row, values).
 
-
-def _add_counts(acc: np.ndarray, edges: np.ndarray, values: np.ndarray) -> None:
-    """Add to acc[j] the number of values in (edges[j-1], edges[j]].
-
-    acc has one slot more than edges, for values above the last edge.
-    Sorting first makes the search walk the edges in order, which is far
-    faster than searching for values in random order.
+    Row 0 holds the exact magnitudes and row 1 the envelope ones. The values
+    live in work, a (5, >= batch) float array, and stay valid only until
+    sink returns. Returns the number of users that could not see the
+    satellite.
     """
-    values.sort()
-    counts = np.bincount(np.searchsorted(edges, values, side="left"))
-    acc[: counts.size] += counts
+    n = u_radius.size
+    x, y, z, s, scratch = (row[:n] for row in work)
+    radii = s
+    np.sqrt(u_radius, out=radii)
+    radii *= scenario.rho
+    np.multiply(2.0 * math.pi, u_angle, out=y)
+    np.cos(y, out=x)
+    x *= radii
+    np.sin(y, out=y)
+    y *= radii
+    bound = _bound_doppler_xy(x, y, scenario, (z, scratch))
+    chi, visible = _exact_doppler_xy(x, y, scenario, (s, scratch))
+    hidden = n - int(np.count_nonzero(visible))
+    if hidden:
+        chi = chi[visible]
+    sink(0, np.abs(chi, out=chi))
+    sink(1, bound[visible] if hidden else bound)
+    return hidden
 
 
-def _count_chunks(
-    scenario: ScenarioConfig, edges: np.ndarray, jobs: list
-) -> tuple[np.ndarray, int]:
-    """Bin counts (exact row, envelope row) and exclusions over some chunks."""
-    acc = np.zeros((2, edges.size + 1), dtype=np.int64)
-    excluded = 0
-    for u_radius, u_angle in _uniform_batches(jobs, scenario.n_users):
-        exact, bound, hidden = _batch_magnitudes(scenario, u_radius, u_angle)
-        _add_counts(acc[0], edges, exact)
-        _add_counts(acc[1], edges, bound)
-        excluded += hidden
-    return acc, excluded
+def _ks_span(dist: DopplerMagnitudeDistribution) -> tuple[float, float]:
+    """Range of planar distances from the sub-satellite point to the disk."""
+    return max(0.0, dist.r_hat - dist.rho), dist.r_hat + dist.rho
 
 
 def _ks_edges(dist: DopplerMagnitudeDistribution, users: int) -> np.ndarray:
     """Magnitudes at distances spread evenly over the disk's distance range.
 
     Even spacing in distance rather than in Hz keeps every bin's mass small
-    where the magnitude map x = A z / sqrt(h^2 + z^2) flattens.
+    where the magnitude map x = A z / sqrt(h^2 + z^2) flattens. The sort
+    guards the order against rounding; it is a no-op in practice.
     """
     m = min(_MAX_KS_EDGES, math.ceil(_KS_EDGES_PER_SQRT_N * math.sqrt(users)))
-    z = np.linspace(max(0.0, dist.r_hat - dist.rho), dist.r_hat + dist.rho, m)
-    return dist.a * z / np.hypot(dist.h, z)
+    z = np.linspace(*_ks_span(dist), m)
+    return np.sort(dist.a * z / np.hypot(dist.h, z))
+
+
+def _slot_guess(t: np.ndarray, top: int, out: np.ndarray) -> None:
+    """Write ceil(t) clipped to [0, top] into the integer array out; NaN
+    goes to 0. Overwrites t."""
+    np.ceil(t, out=t)
+    np.fmax(t, 0.0, out=t)
+    np.fmin(t, top, out=t)
+    np.copyto(out, t, casting="unsafe")
+
+
+class _EdgeIndex:
+    """Bin index of values among the report grid and the KS edges.
+
+    index(values, real, whole) equals np.searchsorted(edges, values,
+    side="left") for every float, NaN and +-inf included, where edges is the
+    sorted union of the two families. KS bin j is (ks[j-1], ks[j]] with ks
+    padded by -inf and +inf. A value's KS bin is guessed from its distance,
+    z(v), and kept only if the edges on either side bracket the value. If
+    no grid point lies inside that bin, the merged index is base[j] = j +
+    (grid points at or below ks[j-1]). Otherwise the value's grid slot k is
+    guessed from its Hz value, checked the same way, and the merged index
+    is j + k. Values that fail either check are searched for.
+    """
+
+    def __init__(
+        self, grid: np.ndarray, ks: np.ndarray, dist: DopplerMagnitudeDistribution
+    ) -> None:
+        self.edges = np.sort(np.concatenate((grid, ks)))
+        self._dist = dist
+        self._z_lo, z_hi = _ks_span(dist)
+        sorted_grid = np.sort(grid)
+        with np.errstate(all="ignore"):
+            self._ks_scale = np.float64(ks.size - 1) / (z_hi - self._z_lo)
+            self._grid_scale = np.float64(grid.size - 1) / grid[-1]
+        self._ks = np.concatenate(([-np.inf], ks, [np.inf]))
+        self._grid = np.concatenate(([-np.inf], sorted_grid, [np.inf]))
+        at_or_below = np.searchsorted(sorted_grid, self._ks, side="right")
+        below = np.searchsorted(sorted_grid, self._ks, side="left")
+        self._base = np.arange(ks.size + 1) + at_or_below[:-1]
+        self._mixed = below[1:] > at_or_below[:-1]
+
+    def __call__(self, values: np.ndarray, real: np.ndarray, whole: np.ndarray) -> np.ndarray:
+        """Merged indices of values, returned in a row of whole.
+
+        real (>= n floats) and whole (2 rows of >= n intp) are overwritten.
+        The slot guesses are clipped into their tables, so mode="clip" in the
+        lookups below never changes an index; it lets np.take write into out
+        without a temporary copy.
+        """
+        n = values.size
+        t = real[:n]
+        j, out = (row[:n] for row in whole)
+        with np.errstate(all="ignore"):
+            _distance_of_magnitude(values, self._dist, out=t)
+            t -= self._z_lo
+            t *= self._ks_scale
+        _slot_guess(t, self._ks.size - 2, j)
+        hit = np.take(self._ks, j, out=t, mode="clip") < values
+        hit &= values <= np.take(self._ks[1:], j, out=t, mode="clip")
+        todo = ~hit
+        todo |= np.take(self._mixed, j)
+        if todo.all():
+            # All mixed, as when every value lies below the first KS edge.
+            return self._mixed_bins(values, j, hit, t, out)
+        np.take(self._base, j, out=out, mode="clip")
+        rest = np.flatnonzero(todo)
+        if rest.size:
+            out[rest] = self._mixed_bins(
+                values[rest], j[rest], hit[rest], t[: rest.size], np.empty_like(rest)
+            )
+        return out
+
+    def _mixed_bins(
+        self, values: np.ndarray, j: np.ndarray, hit: np.ndarray, u: np.ndarray, k: np.ndarray
+    ) -> np.ndarray:
+        """Merged indices of values whose KS bin j is mixed or unchecked.
+
+        Overwrites u, k and hit, and returns the indices in j.
+        """
+        with np.errstate(all="ignore"):
+            np.multiply(values, self._grid_scale, out=u)
+        _slot_guess(u, self._grid.size - 2, k)
+        hit &= np.take(self._grid, k, out=u, mode="clip") < values
+        hit &= values <= np.take(self._grid[1:], k, out=u, mode="clip")
+        j += k
+        miss = np.flatnonzero(~hit)
+        if miss.size:
+            j[miss] = np.searchsorted(self.edges, values[miss], side="left")
+        return j
+
+
+def _count_chunks(
+    scenario: ScenarioConfig, index: _EdgeIndex, jobs: list
+) -> tuple[np.ndarray, int]:
+    """Bin counts (exact row, envelope row) and exclusions over some chunks.
+
+    acc[row, j] counts the values in (edges[j-1], edges[j]]; the last slot
+    holds the values above every edge.
+    """
+    acc = np.zeros((2, index.edges.size + 1), dtype=np.int64)
+    # One batch's arrays, reused by every batch. Allocated afresh per batch,
+    # glibc handed them back to the OS after each batch and faulted them in
+    # again on the next: 5e4-1e5 page faults and 0.2-0.4 s of system time
+    # per 1e7 users on 2 threads.
+    size = _batch_size(jobs, scenario.n_users)
+    real = np.empty((6, size))
+    whole = np.empty((2, size), dtype=np.intp)
+
+    def add_counts(row: int, values: np.ndarray) -> None:
+        counts = np.bincount(index(values, real[5], whole))
+        acc[row, : counts.size] += counts
+
+    excluded = 0
+    for u_radius, u_angle in _uniform_batches(jobs, scenario.n_users):
+        excluded += _batch_magnitudes(scenario, u_radius, u_angle, add_counts, real[:5])
+    return acc, excluded
 
 
 def _ks_upper(cum: np.ndarray, n: int, cdf: np.ndarray) -> float:
@@ -396,22 +552,30 @@ def run_scenario(
     cdf_analytic = np.asarray(doppler_cdf(grid, dist))
     users = scenario.n_users * scenario.trials
     ks_edges = _ks_edges(dist, users)
-    edges = np.sort(np.concatenate((grid, ks_edges)))
+    index = _EdgeIndex(grid, ks_edges, dist)
+    edges = index.edges
 
     jobs = _chunk_jobs(scenario)
     workers = min(threads, len(jobs))
     if workers == 1:
-        parts = [_count_chunks(scenario, edges, jobs)]
+        parts = [_count_chunks(scenario, index, jobs)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(
-                    lambda w: _count_chunks(scenario, edges, jobs[w::workers]),
+                    lambda w: _count_chunks(scenario, index, jobs[w::workers]),
                     range(workers),
                 )
             )
-    cum = np.cumsum(sum(acc for acc, _ in parts), axis=1)
-    excluded = sum(hidden for _, hidden in parts)
+    # The bin tables and the per-worker counts are each as large as the
+    # edges; free them before the CDF pass at the KS edges below.
+    del index
+    cum, excluded = parts.pop(0)
+    for acc, hidden in parts:
+        cum += acc
+        excluded += hidden
+    del parts
+    np.cumsum(cum, axis=1, out=cum)
     if excluded == users:
         raise ValueError("satellite below horizon for every sampled user")
     n = users - excluded

@@ -3,15 +3,20 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from leodoppler.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    VALID_KEYS,
     ConfigParseError,
     ConfigValidationError,
     cmd_cdf,
@@ -324,6 +329,38 @@ def test_main_io_error_exit_code(tmp_path, capsys):
     code = main(["cdf", "--out", str(blocker)])
     assert code == EXIT_IO
     assert "i/o error" in capsys.readouterr().err
+
+
+_FUZZ_VALUES = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "+inf", "0", "-0", "0.0", "-0.0", "1e308", "-1e308",
+    "5e-324", "-5e-324", "1", "2", "8", "600", "1200", "100", "1e3", "-1",
+    "abc", "", "1,5", "0x10", "1_000", "nan(1)", "infinity", "= 3", "#",
+])
+_FUZZ_KEYS = st.sampled_from(sorted(VALID_KEYS)) | st.sampled_from(
+    ["", "H_KM", "h_km x", "#h_km", "bogus", "n_users=", "=", "rho km"]
+)
+_FUZZ_LINES = st.one_of(
+    st.tuples(_FUZZ_KEYS, _FUZZ_VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.sampled_from(["", "# comment", "h_km", "===", "h_km = 600 = 600", "\t"]),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    lines=st.lists(_FUZZ_LINES, max_size=8),
+    command=st.sampled_from([["cdf"], ["pdf"], ["order-stats"],
+                             ["order-stats", "--which", "min"],
+                             ["order-stats", "--which", "max", "--n", "3"]]),
+)
+def test_main_exits_cleanly_on_fuzzed_config(lines, command):
+    # No command here samples users, and every accepted grid_points value
+    # is at most 1200, so each example stays cheap.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main([*command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_IO)
 
 
 def test_main_requires_subcommand():

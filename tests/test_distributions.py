@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import inspect
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -327,6 +329,34 @@ def test_quantile_round_trip_99_grid():
         assert np.max(np.abs(back - p_grid)) <= 1e-6
 
 
+@pytest.mark.parametrize("f_c", [1e15, 1e22])
+def test_quantile_terminates_where_float_spacing_exceeds_tolerance(f_c):
+    # The support top passes 2^33 Hz, where float spacing exceeds 1e-6 Hz.
+    cfg = SatelliteConfig(f_c=f_c, h=600e3, omega_s=1.1e-3)
+    dist = DopplerMagnitudeDistribution.for_satellite(cfg, 100e3, 200e3)
+    assert doppler_support_max(dist) > 2.0**33
+    p = np.array([1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9])
+    result = {}
+
+    def solve():
+        start = time.perf_counter()
+        result["x"] = doppler_quantile(p, dist)
+        result["scalar"] = doppler_quantile(0.5, dist)
+        result["seconds"] = time.perf_counter() - start
+
+    worker = threading.Thread(target=solve, daemon=True)
+    worker.start()
+    worker.join(timeout=10.0)
+    assert not worker.is_alive(), "doppler_quantile did not return"
+    assert result["seconds"] < 1.0
+    x = result["x"]
+    assert np.all(doppler_cdf(x, dist) >= p)
+    assert doppler_cdf(result["scalar"], dist) >= 0.5
+    # Minimal up to the stopping width: two float spacings at the top.
+    below = x - 2.0 * np.spacing(x)
+    assert np.all(doppler_cdf(below, dist) < p)
+
+
 def test_quantile_rejects_bad_probability():
     with pytest.raises(ValueError):
         doppler_quantile(-0.01, _dist600(100e3, 0.0))
@@ -510,3 +540,38 @@ def test_distribution_methods_delegate():
     assert dist.cdf(4e3) == doppler_cdf(4e3, dist)
     assert dist.pdf(4e3) == doppler_pdf(4e3, dist)
     assert dist.quantile(0.3) == doppler_quantile(0.3, dist)
+
+
+# ------------------------------------------------------------ NaN input ----
+
+_D = _dist600(100e3, 200e3)
+_DISK = DiskDistanceDistribution(radius=100e3, offset=200e3)
+_OVERHEAD = _dist600(100e3, 0.0)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda x: disk_distance_cdf(x, _DISK),
+        lambda x: disk_distance_pdf(x, _DISK),
+        lambda x: doppler_cdf(x, _D),
+        lambda x: doppler_pdf(x, _D),
+        lambda x: doppler_quantile(x, _D),
+        lambda x: min_doppler_cdf(x, _D, 4),
+        lambda x: min_doppler_pdf(x, _D, 4),
+        lambda x: max_doppler_cdf(x, _D, 4),
+        lambda x: max_doppler_pdf(x, _D, 4),
+        lambda x: overhead_cdf(x, _OVERHEAD),
+        lambda x: overhead_pdf(x, _OVERHEAD),
+    ],
+    ids=[
+        "disk_distance_cdf", "disk_distance_pdf", "doppler_cdf", "doppler_pdf",
+        "doppler_quantile", "min_doppler_cdf", "min_doppler_pdf", "max_doppler_cdf",
+        "max_doppler_pdf", "overhead_cdf", "overhead_pdf",
+    ],
+)
+def test_law_functions_reject_nan(law):
+    with pytest.raises(ValueError, match="NaN"):
+        law(math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        law(np.array([0.0, math.nan]))

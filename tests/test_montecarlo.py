@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from leodoppler import montecarlo
 from leodoppler.distributions import (
@@ -281,17 +283,17 @@ def test_run_scenario_caps_threads_at_chunk_count(pool_sizes):
 def _reference_samples(sc: ScenarioConfig):
     """Every chunk drawn whole from one generator, as rng.random(count)
     twice, then transformed; returns (exact, envelope, excluded)."""
-    exact, bound, excluded = [], [], 0
+    rows, excluded = ([], []), 0
     for child_seed, trials in montecarlo._chunk_jobs(sc):
         rng = np.random.default_rng(child_seed)
         count = trials * sc.n_users
         u_radius = rng.random(count)
         u_angle = rng.random(count)
-        e, b, hidden = montecarlo._batch_magnitudes(sc, u_radius, u_angle)
-        exact.append(e)
-        bound.append(b)
-        excluded += hidden
-    return np.concatenate(exact), np.concatenate(bound), excluded
+        excluded += montecarlo._batch_magnitudes(
+            sc, u_radius, u_angle, lambda row, values: rows[row].append(values.copy()),
+            np.empty((5, count)),
+        )
+    return np.concatenate(rows[0]), np.concatenate(rows[1]), excluded
 
 
 def test_batches_reproduce_one_generator_per_chunk():
@@ -313,12 +315,23 @@ def test_batches_reproduce_one_generator_per_chunk():
     assert np.array_equal(np.concatenate([a for _, a in batches]), np.concatenate(angle))
 
 
-def test_add_counts_bins_values_at_or_below_each_edge():
-    edges = np.array([1.0, 2.0, 3.0])
-    acc = np.zeros(edges.size + 1, dtype=np.int64)
-    montecarlo._add_counts(acc, edges, np.array([3.0, 0.5, 1.0, 2.5, 9.0, 2.0]))
-    # (-inf, 1], (1, 2], (2, 3], above 3: a value on an edge counts there.
-    assert acc.tolist() == [2, 1, 2, 1]
+@pytest.mark.parametrize("r_hat", [200e3, 0.0, 2.65e6])
+@pytest.mark.parametrize("grid_top", [None, 30e3, 1e3])
+def test_edge_index_equals_searchsorted(r_hat, grid_top):
+    dist = DopplerMagnitudeDistribution.for_satellite(CFG600, 100e3, r_hat)
+    top = doppler_support_max(dist) if grid_top is None else grid_top
+    grid = np.linspace(0.0, top, 512)
+    index = montecarlo._EdgeIndex(grid, montecarlo._ks_edges(dist, 10**7), dist)
+    edges = index.edges
+    a = dist.a
+    values = np.concatenate((
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        [0.0, -0.0, a, np.nextafter(a, 0.0), 2.0 * a, 5e-324, np.inf, -np.inf, np.nan],
+    ))
+    got = index(values, np.empty(values.size), np.empty((2, values.size), dtype=np.intp))
+    assert np.array_equal(got, np.searchsorted(edges, values, side="left"))
 
 
 @pytest.mark.parametrize(
@@ -362,6 +375,44 @@ def test_reported_ks_brackets_exact_statistic(overrides, x_max):
     for reported, samples in ((report.ks_exact, exact), (report.ks_bound, bound)):
         exact_ks = ks_distance(EmpiricalCdf.from_samples(samples), lambda x: doppler_cdf(x, dist))
         assert exact_ks <= reported <= exact_ks + bin_mass
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    rho=st.floats(1e3, 3e5),
+    r_hat=st.sampled_from([0.0, 1e3, 5e4, 2e5, 6e5, 2.6e6]) | st.floats(0.0, 2.7e6),
+    x_max=st.none() | st.sampled_from([0.0, 5e-324, 1e3, 3e4]) | st.floats(0.0, 1.2e5),
+    grid_points=st.integers(2, 700),
+    n_users=st.integers(1, 9),
+    trials=st.integers(1, 150),
+    on_track=st.booleans(),
+    threads=st.integers(1, 2),
+)
+def test_report_equals_reference_built_from_samples(
+    rho, r_hat, x_max, grid_points, n_users, trials, on_track, threads
+):
+    sc = _scenario(
+        rho=rho, r_hat=r_hat, n_users=n_users, trials=trials, seed=11,
+        cluster_center_on_track=on_track,
+    )
+    exact, bound, excluded = _reference_samples(sc)
+    if exact.size == 0:
+        with pytest.raises(ValueError, match="below horizon"):
+            run_scenario(sc, threads=threads, grid_points=grid_points, x_max=x_max)
+        return
+    report = run_scenario(sc, threads=threads, grid_points=grid_points, x_max=x_max)
+    assert report.excluded == excluded
+    dist = DopplerMagnitudeDistribution.for_satellite(sc.cfg, sc.rho, sc.r_hat)
+    ks_edges = montecarlo._ks_edges(dist, n_users * trials)
+    ks_law = doppler_cdf(ks_edges, dist)
+    for column, ks, samples in (
+        (report.cdf_emp_exact, report.ks_exact, exact),
+        (report.cdf_emp_bound, report.ks_bound, bound),
+    ):
+        ecdf = EmpiricalCdf.from_samples(samples)
+        assert np.array_equal(column, ecdf.evaluate(report.x_hz))
+        at_or_below = np.searchsorted(ecdf.samples, ks_edges, side="right")
+        assert ks == montecarlo._ks_upper(at_or_below, samples.size, ks_law)
 
 
 def test_peak_memory_flat_in_trial_count():
