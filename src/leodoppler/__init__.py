@@ -52,8 +52,6 @@ from .montecarlo import (
     ComparisonReport,
     EmpiricalCdf,
     ScenarioConfig,
-    bound_doppler_for_user,
-    exact_doppler_for_user,
     ks_distance,
     run_scenario,
     write_report_csv,
@@ -86,7 +84,6 @@ __all__ = [
     "SatelliteConfig",
     "ScenarioConfig",
     "angular_velocity_ecf",
-    "bound_doppler_for_user",
     "central_angle",
     "disk_distance_cdf",
     "disk_distance_pdf",
@@ -102,7 +99,6 @@ __all__ = [
     "elevation_from_central_angle",
     "elevation_planar_approx",
     "epsilon_accuracy_offsets",
-    "exact_doppler_for_user",
     "gamma_dot",
     "ks_distance",
     "max_doppler_cdf",

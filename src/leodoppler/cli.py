@@ -114,7 +114,7 @@ def parse_config(path) -> RunConfig:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, float] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):

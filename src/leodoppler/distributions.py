@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SatelliteConfig, angular_velocity_ecf, clamp_unit, orbital_radius
+from .geometry import SatelliteConfig, angular_velocity_ecf, orbital_radius
 
 _QUANTILE_TOL_HZ = 1e-6
 # Bisection halves the bracket until it is at most max(1e-6 Hz, two float
@@ -59,6 +59,15 @@ def _scalar_or_array(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
+def _lens_angle(rl: np.ndarray, off: float, R: float) -> np.ndarray:
+    # Half-angle at the fixed point of the arc of radius rl inside the disk.
+    # The cosine lies in [-1, 1] by construction, so rounding past it is
+    # clipped; a denominator that underflows to 0 takes the limit, 0.
+    den = 2.0 * off * rl
+    cos = np.divide(rl**2 + off**2 - R**2, den, out=np.zeros_like(rl), where=den > 0.0)
+    return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
 def disk_distance_cdf(r, d: DiskDistanceDistribution):
     """CDF of the distance to the fixed point, evaluated at r.
 
@@ -80,11 +89,13 @@ def disk_distance_cdf(r, d: DiskDistanceDistribution):
     lens = (rr > abs(R - off)) & (rr <= hi)
     if np.any(lens):
         rl = rr[lens]
-        theta = np.arccos(clamp_unit((rl**2 + off**2 - R**2) / (2.0 * off * rl)))
-        phi = np.arccos(clamp_unit((R**2 + off**2 - rl**2) / (2.0 * off * R)))
-        out[lens] = (rl**2 / (math.pi * R**2)) * (theta - 0.5 * np.sin(2.0 * theta)) + (
+        theta = _lens_angle(rl, off, R)
+        phi = np.arccos(np.clip((R**2 + off**2 - rl**2) / (2.0 * off * R), -1.0, 1.0))
+        area = (rl**2 / (math.pi * R**2)) * (theta - 0.5 * np.sin(2.0 * theta)) + (
             phi - 0.5 * np.sin(2.0 * phi)
         ) / math.pi
+        # Cancellation can push the ratio ~1e-9 past 1 when off << R.
+        out[lens] = np.clip(area, 0.0, 1.0)
     return _scalar_or_array(out, scalar)
 
 
@@ -101,8 +112,7 @@ def disk_distance_pdf(r, d: DiskDistanceDistribution):
     lens = (rr > abs(R - off)) & (rr <= R + off)
     if np.any(lens):
         rl = rr[lens]
-        theta = np.arccos(clamp_unit((rl**2 + off**2 - R**2) / (2.0 * off * rl)))
-        out[lens] = 2.0 * rl * theta / (math.pi * R**2)
+        out[lens] = 2.0 * rl * _lens_angle(rl, off, R) / (math.pi * R**2)
     return _scalar_or_array(out, scalar)
 
 
@@ -178,31 +188,35 @@ class DopplerMagnitudeDistribution:
         return doppler_quantile(p, self)
 
 
-def _magnitude_at_distance(dist: DopplerMagnitudeDistribution, z: float) -> float:
-    return dist.a * z / math.hypot(dist.h, z) if z > 0.0 else 0.0
-
-
-def doppler_support_max(dist: DopplerMagnitudeDistribution) -> float:
-    """Largest supported Doppler magnitude, attained at the far disk edge."""
-    return _magnitude_at_distance(dist, dist.r_hat + dist.rho)
-
-
-def doppler_support_min(dist: DopplerMagnitudeDistribution) -> float:
-    """Smallest supported magnitude; 0 unless the disk excludes the
-    sub-satellite point (r_hat > rho)."""
-    return _magnitude_at_distance(dist, max(0.0, dist.r_hat - dist.rho))
+def _magnitude_at_distance(z, dist: DopplerMagnitudeDistribution, out=None, work=None):
+    """Envelope magnitude A z / sqrt(h^2 + z^2) at planar distance z >= 0;
+    out (may be z) receives the result and work sqrt(h^2 + z^2)."""
+    slant = np.hypot(dist.h, z, out=work)
+    x = np.multiply(z, dist.a, out=out)
+    return np.divide(x, slant, out=out)
 
 
 def _distance_of_magnitude(
     x: np.ndarray, dist: DopplerMagnitudeDistribution, out: np.ndarray | None = None
 ) -> np.ndarray:
-    # Inverse of x = A z / sqrt(h^2 + z^2); callers guarantee x < A. Computed
+    # Inverse of _magnitude_at_distance; callers guarantee x < A. Computed
     # as (h x) / sqrt(A^2 - x^2) with one temporary; out receives the result.
     den = np.square(x)
     np.subtract(dist.a**2, den, out=den)
     np.sqrt(den, out=den)
     num = np.multiply(dist.h, x, out=out)
     return np.divide(num, den, out=num)
+
+
+def doppler_support_max(dist: DopplerMagnitudeDistribution) -> float:
+    """Largest supported Doppler magnitude, attained at the far disk edge."""
+    return float(_magnitude_at_distance(dist.r_hat + dist.rho, dist))
+
+
+def doppler_support_min(dist: DopplerMagnitudeDistribution) -> float:
+    """Smallest supported magnitude; 0 unless the disk excludes the
+    sub-satellite point (r_hat > rho)."""
+    return float(_magnitude_at_distance(max(0.0, dist.r_hat - dist.rho), dist))
 
 
 def doppler_cdf(x, dist: DopplerMagnitudeDistribution):
@@ -248,16 +262,18 @@ def doppler_quantile(p, dist: DopplerMagnitudeDistribution):
     lo = np.full_like(pp, lo_edge)
     hi = np.full_like(pp, hi_edge)
     interior = (pp > 0.0) & (pp < 1.0)
+    # Entries still bisecting; each leaves once its own bracket is narrow
+    # enough, so an array call equals the scalar call for every entry.
+    active = np.flatnonzero(interior)
     for _ in range(_QUANTILE_MAX_STEPS):
-        tol = np.maximum(_QUANTILE_TOL_HZ, 2.0 * np.spacing(hi[interior]))
-        if not np.any((hi[interior] - lo[interior]) > tol):
+        tol = np.maximum(_QUANTILE_TOL_HZ, 2.0 * np.spacing(hi[active]))
+        active = active[(hi[active] - lo[active]) > tol]
+        if not active.size:
             break
-        mid = 0.5 * (lo + hi)
-        reached = doppler_cdf(mid, dist) >= pp
-        step_down = interior & reached
-        step_up = interior & ~reached
-        hi[step_down] = mid[step_down]
-        lo[step_up] = mid[step_up]
+        mid = 0.5 * (lo[active] + hi[active])
+        reached = doppler_cdf(mid, dist) >= pp[active]
+        hi[active[reached]] = mid[reached]
+        lo[active[~reached]] = mid[~reached]
     out = np.where(interior, hi, np.where(pp == 0.0, lo_edge, hi_edge))
     return _scalar_or_array(out, scalar)
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import (
     SatelliteConfig,
     angular_velocity_ecf,
@@ -84,24 +86,25 @@ def gamma_dot(dt: float, theta: float, cfg: SatelliteConfig) -> float:
     return omega_f * theta * sin_phase / math.sqrt(1.0 - theta**2 * math.cos(phase) ** 2)
 
 
+def _shift(phase, theta, slant, cfg: SatelliteConfig, out=None):
+    """Exact shift -(f_c / c) r_E r_o omega_F sin(phase) theta / slant in Hz
+    (Ali, Al-Dhahir & Hershey, IEEE Trans. Commun. 46(3), 1998): phase =
+    dt * omega_F, theta = cos(cross-track angle); out may be phase."""
+    k = -(cfg.f_c / cfg.c) * cfg.r_e * orbital_radius(cfg) * angular_velocity_ecf(cfg)
+    chi = np.sin(phase, out=out)
+    chi = np.multiply(chi, k, out=out)
+    chi = np.multiply(chi, theta, out=out)
+    return np.divide(chi, slant, out=out)
+
+
 def doppler_exact(dt: float, pass_geometry: PassGeometry, cfg: SatelliteConfig) -> float:
     """Exact Doppler shift in Hz at time offset dt from maximum elevation.
 
     Negative while the satellite recedes (dt > 0), positive while it
     approaches (dt < 0), zero at closest approach.
     """
-    omega_f = angular_velocity_ecf(cfg)
-    theta = pass_geometry.theta
-    s = slant_range(dt, theta, cfg)
-    return (
-        -(cfg.f_c / cfg.c)
-        * cfg.r_e
-        * orbital_radius(cfg)
-        * omega_f
-        * math.sin(dt * omega_f)
-        * theta
-        / s
-    )
+    s = slant_range(dt, pass_geometry.theta, cfg)
+    return float(_shift(dt * angular_velocity_ecf(cfg), pass_geometry.theta, s, cfg))
 
 
 def doppler_bound(alpha_t: float, cfg: SatelliteConfig) -> float:

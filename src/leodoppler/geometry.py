@@ -38,13 +38,14 @@ def clamp_unit(value, tol: float = INVERSE_TRIG_CLAMP_TOL):
     """
     arr = np.asarray(value, dtype=float)
     excess = np.abs(arr) - 1.0
-    if np.any(excess > tol):
-        worst = float(np.max(excess))
+    # Not np.any/np.max/np.clip: their wrappers dominate scalar callers.
+    if (excess > tol).any():
+        worst = float(excess.max())
         raise ValueError(
             f"inverse-trig argument outside [-1, 1] by {worst:.3e} "
             f"(tolerance {tol:.1e})"
         )
-    clipped = np.clip(arr, -1.0, 1.0)
+    clipped = np.minimum(np.maximum(arr, -1.0), 1.0)
     if arr.ndim == 0:
         return float(clipped)
     return clipped
@@ -121,6 +122,21 @@ def _validate_theta(theta: float) -> float:
     return min(max(theta, 0.0), 1.0)
 
 
+def _slant_of_cos(cos_gamma, cfg: SatelliteConfig, out=None):
+    """Slant range sqrt(r_E^2 + r_o^2 - 2 r_o r_E cos(gamma)) in metres;
+    out (may be cos_gamma) receives the result."""
+    r_o = orbital_radius(cfg)
+    s = np.multiply(cos_gamma, 2.0 * r_o * cfg.r_e, out=out)
+    s = np.subtract(cfg.r_e**2 + r_o**2, s, out=out)
+    return np.sqrt(s, out=out)
+
+
+def _above_horizon(cos_gamma, cfg: SatelliteConfig, work=None):
+    """True where r_o cos(gamma) >= r_E, i.e. the satellite is at or above
+    the user's horizon. work, if given, receives r_o cos(gamma)."""
+    return np.multiply(orbital_radius(cfg), cos_gamma, out=work) >= cfg.r_e
+
+
 def slant_range(dt: float, theta: float, cfg: SatelliteConfig) -> float:
     """Distance from user to satellite at time offset dt from peak elevation.
 
@@ -134,9 +150,7 @@ def slant_range(dt: float, theta: float, cfg: SatelliteConfig) -> float:
         (theta = 1) and never exceeds r_E + r_o.
     """
     theta = _validate_theta(theta)
-    r_o = orbital_radius(cfg)
-    cos_gamma = math.cos(dt * angular_velocity_ecf(cfg)) * theta
-    return math.sqrt(cfg.r_e**2 + r_o**2 - 2.0 * r_o * cfg.r_e * cos_gamma)
+    return float(_slant_of_cos(math.cos(dt * angular_velocity_ecf(cfg)) * theta, cfg))
 
 
 def central_angle(dt: float, theta: float, cfg: SatelliteConfig) -> float:
@@ -161,15 +175,13 @@ def elevation_from_central_angle(gamma: float, cfg: SatelliteConfig) -> float:
     """
     if not (0.0 <= gamma <= math.pi):
         raise ValueError(f"central angle must lie in [0, pi], got {gamma}")
-    r_o = orbital_radius(cfg)
-    vertical = r_o * math.cos(gamma) - cfg.r_e
+    cos_gamma = math.cos(gamma)
+    vertical = orbital_radius(cfg) * cos_gamma - cfg.r_e
     if vertical < 0.0:
         raise BelowHorizonError(
             f"satellite below horizon at central angle {gamma:.6f} rad"
         )
-    horizontal = r_o * math.sin(gamma)
-    s = math.sqrt(cfg.r_e**2 + r_o**2 - 2.0 * r_o * cfg.r_e * math.cos(gamma))
-    return math.asin(clamp_unit(vertical / s))
+    return math.asin(clamp_unit(vertical / _slant_of_cos(cos_gamma, cfg)))
 
 
 def elevation_planar_approx(z: float, cfg: SatelliteConfig) -> float:

@@ -35,17 +35,13 @@ import numpy as np
 from .distributions import (
     DopplerMagnitudeDistribution,
     _distance_of_magnitude,
+    _magnitude_at_distance,
     doppler_cdf,
     doppler_support_max,
-    param_A,
 )
-from .geometry import (
-    BelowHorizonError,
-    PlanarPoint,
-    SatelliteConfig,
-    angular_velocity_ecf,
-    orbital_radius,
-)
+from .doppler import _shift
+from .geometry import SatelliteConfig, _above_horizon, _slant_of_cos
+from .pointprocess import _disk_points
 
 # Trials are distributed over this many independently seeded chunks
 # (fewer when there are fewer trials). Fixed so that outputs do not
@@ -205,95 +201,6 @@ def _sub_satellite_xy(scenario: ScenarioConfig) -> tuple[float, float]:
     return 0.0, scenario.r_hat
 
 
-def _pass_angles(x: np.ndarray, y: np.ndarray, scenario: ScenarioConfig) -> None:
-    """Turn planar positions into pass angles in place: y becomes the
-    cross-track angle beta and x the along-track phase delta.
-
-    The phase is the along-track angle from the user's closest-approach
-    point to the sub-satellite point, i.e. delta = dt * omega_F of the
-    frozen scene.
-    """
-    r_e = scenario.cfg.r_e
-    if scenario.cluster_center_on_track:
-        y /= r_e
-        np.subtract(scenario.r_hat, x, out=x)
-    else:
-        np.subtract(scenario.r_hat, y, out=y)
-        y /= r_e
-        np.negative(x, out=x)
-    x /= r_e
-
-
-def _exact_doppler_xy(
-    x: np.ndarray, y: np.ndarray, scenario: ScenarioConfig, work: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact signed Doppler per user, returned in x, and a visibility mask.
-
-    Overwrites x, y and work, a (2, n) float array. The steps follow the
-    order of s = sqrt(r_e^2 + r_o^2 - 2 r_o r_e cos(gamma)) and
-    chi = -(f_c / c) r_e r_o omega_F sin(delta) cos(beta) / s.
-    """
-    cfg = scenario.cfg
-    r_o = orbital_radius(cfg)
-    omega_f = angular_velocity_ecf(cfg)
-    _pass_angles(x, y, scenario)
-    chi, theta = x, y
-    s, scratch = work
-    np.cos(theta, out=theta)
-    np.cos(chi, out=s)
-    s *= theta
-    visible = np.multiply(r_o, s, out=scratch) >= cfg.r_e
-    s *= 2.0 * r_o * cfg.r_e
-    np.subtract(cfg.r_e**2 + r_o**2, s, out=s)
-    np.sqrt(s, out=s)
-    np.sin(chi, out=chi)
-    chi *= -(cfg.f_c / cfg.c) * cfg.r_e * r_o * omega_f
-    chi *= theta
-    chi /= s
-    return chi, visible
-
-
-def _bound_doppler_xy(
-    x: np.ndarray, y: np.ndarray, scenario: ScenarioConfig, work: np.ndarray
-) -> np.ndarray:
-    """Planar envelope magnitude A z / sqrt(h^2 + z^2) per user.
-
-    Overwrites work, a (2, n) float array; the magnitudes come back in its
-    first row.
-    """
-    z, slant = work
-    sx, sy = _sub_satellite_xy(scenario)
-    np.subtract(x, sx, out=z)
-    np.subtract(y, sy, out=slant)
-    np.hypot(z, slant, out=z)
-    np.hypot(scenario.cfg.h, z, out=slant)
-    z *= param_A(scenario.cfg)
-    z /= slant
-    return z
-
-
-def exact_doppler_for_user(p: PlanarPoint, scenario: ScenarioConfig) -> float:
-    """Exact signed Doppler in Hz of a single user at planar position p.
-
-    Raises:
-        BelowHorizonError: If the satellite is below this user's horizon.
-    """
-    chi, visible = _exact_doppler_xy(
-        np.array([p.x]), np.array([p.y]), scenario, np.empty((2, 1))
-    )
-    if not visible[0]:
-        raise BelowHorizonError(
-            f"satellite below horizon for user at ({p.x}, {p.y})"
-        )
-    return float(chi[0])
-
-
-def bound_doppler_for_user(p: PlanarPoint, scenario: ScenarioConfig) -> float:
-    """Planar envelope magnitude in Hz for a user at planar position p."""
-    out = _bound_doppler_xy(np.array([p.x]), np.array([p.y]), scenario, np.empty((2, 1)))
-    return float(out[0])
-
-
 def _chunk_jobs(scenario: ScenarioConfig) -> list[tuple[np.random.SeedSequence, int]]:
     """(child seed, trials) of each chunk, in chunk order."""
     n_chunks = min(scenario.trials, _N_CHUNKS)
@@ -354,17 +261,25 @@ def _batch_magnitudes(
     satellite.
     """
     n = u_radius.size
+    cfg = scenario.cfg
     x, y, z, s, scratch = (row[:n] for row in work)
-    radii = s
-    np.sqrt(u_radius, out=radii)
-    radii *= scenario.rho
-    np.multiply(2.0 * math.pi, u_angle, out=y)
-    np.cos(y, out=x)
-    x *= radii
-    np.sin(y, out=y)
-    y *= radii
-    bound = _bound_doppler_xy(x, y, scenario, (z, scratch))
-    chi, visible = _exact_doppler_xy(x, y, scenario, (s, scratch))
+    _disk_points(u_radius, u_angle, scenario.rho, x, y, s)
+    # Each user's offset to the sub-satellite point. The ground track runs
+    # along x, so over r_E the offset is the along-track phase dt * omega_F
+    # from the user's closest approach and the cross-track angle beta.
+    sx, sy = _sub_satellite_xy(scenario)
+    np.subtract(sx, x, out=x)
+    np.subtract(sy, y, out=y)
+    dist = DopplerMagnitudeDistribution.for_satellite(cfg, scenario.rho, scenario.r_hat)
+    bound = _magnitude_at_distance(np.hypot(x, y, out=z), dist, out=z, work=scratch)
+    phase, theta = x, y
+    phase /= cfg.r_e
+    theta /= cfg.r_e
+    np.cos(theta, out=theta)
+    np.cos(phase, out=s)
+    s *= theta
+    visible = _above_horizon(s, cfg, work=scratch)
+    chi = _shift(phase, theta, _slant_of_cos(s, cfg, out=s), cfg, out=phase)
     hidden = n - int(np.count_nonzero(visible))
     if hidden:
         chi = chi[visible]
@@ -387,7 +302,7 @@ def _ks_edges(dist: DopplerMagnitudeDistribution, users: int) -> np.ndarray:
     """
     m = min(_MAX_KS_EDGES, math.ceil(_KS_EDGES_PER_SQRT_N * math.sqrt(users)))
     z = np.linspace(*_ks_span(dist), m)
-    return np.sort(dist.a * z / np.hypot(dist.h, z))
+    return np.sort(_magnitude_at_distance(z, dist, out=z))
 
 
 def _slot_guess(t: np.ndarray, top: int, out: np.ndarray) -> None:

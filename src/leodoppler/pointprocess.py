@@ -60,11 +60,23 @@ class ClusterSample:
             raise ValueError(f"users must be a nonempty (N, 2) array, got {self.users.shape}")
 
 
+def _disk_points(u_radius, u_angle, rho: float, x, y, work) -> None:
+    """Uniform area law: offsets at radius rho * sqrt(u_radius) and angle
+    2 pi u_angle go to x and y; work (may be u_radius) receives the radii."""
+    radii = np.sqrt(u_radius, out=work)
+    radii *= rho
+    np.multiply(2.0 * math.pi, u_angle, out=y)
+    np.cos(y, out=x)
+    x *= radii
+    np.sin(y, out=y)
+    y *= radii
+
+
 def _disk_offsets(rho: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    # Uniform area law: radius = rho * sqrt(U1), angle = 2 * pi * U2.
-    radii = rho * np.sqrt(rng.random(count))
-    angles = 2.0 * math.pi * rng.random(count)
-    return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+    """(count, 2) offsets uniform on the disk; radii are drawn before angles."""
+    u_radius, xy = rng.random(count), np.empty((count, 2))
+    _disk_points(u_radius, rng.random(count), rho, xy[:, 0], xy[:, 1], u_radius)
+    return xy
 
 
 def sample_uniform_disk(
@@ -93,14 +105,18 @@ def sample_cell(model: CellModel, rng: np.random.Generator) -> list[ClusterSampl
     The number of parents is Poisson with mean lambda_c * pi * r_cell^2;
     parents are uniform on the cell disk and each carries model.n daughter
     users uniform on its own disk of radius model.rho. Daughters are kept
-    even when they land outside the cell.
+    even when they land outside the cell. All daughters are drawn at once,
+    after the parents.
     """
     mean_parents = model.lambda_c * math.pi * model.r_cell**2
     n_parents = int(rng.poisson(mean_parents))
     centres = _disk_offsets(model.r_cell, n_parents, rng)
+    n = int(model.n)
+    users = _disk_offsets(model.rho, n_parents * n, rng).reshape(n_parents, n, 2)
+    users += centres[:, np.newaxis, :]
     return [
-        sample_uniform_disk(PlanarPoint(float(cx), float(cy)), model.rho, model.n, rng)
-        for cx, cy in centres
+        ClusterSample(PlanarPoint(float(cx), float(cy)), cluster)
+        for (cx, cy), cluster in zip(centres, users)
     ]
 
 

@@ -286,6 +286,14 @@ def test_main_parse_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_non_utf8_config_is_parse_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    code = main(["cdf", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_PARSE
+    assert "config error" in capsys.readouterr().err
+
+
 def test_main_validation_error_exit_code(tmp_path, capsys):
     cfg = _write_config(tmp_path, "h_km = -5\n")
     code = main(["cdf", "--config", str(cfg), "--out", str(tmp_path)])

@@ -14,11 +14,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from leodoppler.distributions import (
     DiskDistanceDistribution,
     DopplerMagnitudeDistribution,
+    _magnitude_at_distance,
     disk_distance_cdf,
     disk_distance_pdf,
     doppler_cdf,
@@ -130,6 +133,26 @@ def test_disk_cdf_monotone_between_zero_and_one():
         values = disk_distance_cdf(grid, d)
         assert np.all(np.diff(values) >= -1e-14)
         assert np.all((values >= 0.0) & (values <= 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_radius=st.floats(-3.0, 7.0),
+    log_offset=st.floats(-6.0, 7.0),
+    t=st.floats(0.0, 1.0),
+)
+def test_disk_law_on_lens_is_a_valid_distribution(log_radius, log_offset, t):
+    # Rounding may carry the lens cosines past [-1, 1] and the lens area
+    # ratio past 1 when the offset is tiny next to the radius (e.g.
+    # R = 406369.642 m, offset 7.690 m); neither may reject a distance in
+    # [|R - offset|, R + offset] or leave [0, 1].
+    d = DiskDistanceDistribution(10.0**log_radius, 10.0**log_offset)
+    lo, hi = abs(d.radius - d.offset), d.radius + d.offset
+    r = np.array([lo + t * (hi - lo), lo, hi, np.nextafter(lo, np.inf)])
+    f = disk_distance_cdf(r, d)
+    pdf = disk_distance_pdf(r, d)
+    assert np.all((f >= 0.0) & (f <= 1.0))
+    assert np.all(np.isfinite(pdf) & (pdf >= 0.0))
 
 
 def test_disk_cdf_rejects_negative_distance():
@@ -304,6 +327,16 @@ def test_support_max_collapses_with_tiny_cluster():
     assert doppler_support_max(dist) == pytest.approx(centre, rel=1e-5)
 
 
+def test_magnitude_kernel_on_arrays_equals_support_max():
+    rng = np.random.default_rng(23)
+    rho = rng.uniform(1.0, 3e5, 300)
+    r_hat = rng.uniform(0.0, 2e6, 300)
+    dists = [_dist600(a, b) for a, b in zip(rho, r_hat)]
+    far = np.array([d.r_hat + d.rho for d in dists])
+    scalar = [doppler_support_max(d) for d in dists]
+    assert np.array_equal(_magnitude_at_distance(far, dists[0]), scalar)
+
+
 def test_support_min_zero_when_disk_covers_subsatellite_point():
     assert doppler_support_min(_dist600(100e3, 50e3)) == 0.0
     assert doppler_support_min(_dist600(100e3, 100e3)) == 0.0
@@ -355,6 +388,16 @@ def test_quantile_terminates_where_float_spacing_exceeds_tolerance(f_c):
     # Minimal up to the stopping width: two float spacings at the top.
     below = x - 2.0 * np.spacing(x)
     assert np.all(doppler_cdf(below, dist) < p)
+
+
+def test_quantile_array_equals_scalar_calls():
+    # Each entry stops on its own bracket, so batching changes nothing.
+    for f_c in (2e9, 1e15):
+        cfg = SatelliteConfig(f_c=f_c, h=600e3, omega_s=1.1e-3)
+        dist = DopplerMagnitudeDistribution.for_satellite(cfg, 100e3, 200e3)
+        p = np.random.default_rng(3).random(200)
+        scalar = [doppler_quantile(float(q), dist) for q in p]
+        assert np.array_equal(doppler_quantile(p, dist), scalar)
 
 
 def test_quantile_rejects_bad_probability():

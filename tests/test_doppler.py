@@ -14,6 +14,7 @@ import pytest
 
 from leodoppler.doppler import (
     PassGeometry,
+    _shift,
     doppler_bound,
     doppler_exact,
     epsilon_accuracy_offsets,
@@ -122,6 +123,16 @@ def test_doppler_sign_convention():
     pg = _pass(math.pi / 3)
     assert doppler_exact(120.0, pg, CFG600) < 0.0   # receding
     assert doppler_exact(-120.0, pg, CFG600) > 0.0  # approaching
+
+
+def test_shift_kernel_on_arrays_equals_doppler_exact():
+    rng = np.random.default_rng(17)
+    passes = [_pass(a) for a in rng.uniform(0.05, math.pi / 2, 40)]
+    dt = rng.uniform(-600.0, 600.0, 40)
+    theta = np.array([pg.theta for pg in passes])
+    slant = np.array([slant_range(t, th, CFG600) for t, th in zip(dt, theta)])
+    scalar = [doppler_exact(t, pg, CFG600) for t, pg in zip(dt, passes)]
+    assert np.array_equal(_shift(dt * W600, theta, slant, CFG600), scalar)
 
 
 def test_doppler_on_track_horizon_magnitude():

@@ -16,6 +16,7 @@ from leodoppler.geometry import (
     BelowHorizonError,
     PlanarPoint,
     SatelliteConfig,
+    _slant_of_cos,
     angular_velocity_ecf,
     central_angle,
     clamp_unit,
@@ -110,6 +111,19 @@ def test_slant_range_bounds_and_symmetry():
         s = slant_range(dt, theta, CFG600)
         assert CFG600.h <= s <= CFG600.r_e + r_o
         assert s == pytest.approx(slant_range(-dt, theta, CFG600), rel=1e-15)
+
+
+def test_slant_kernel_on_arrays_equals_slant_range():
+    rng = np.random.default_rng(92)
+    w = angular_velocity_ecf(CFG600)
+    theta = rng.uniform(CFG600.r_e / orbital_radius(CFG600), 1.0, 500)
+    dt = rng.uniform(-4000.0, 4000.0, 500)
+    cos_gamma = np.array([math.cos(t * w) * th for t, th in zip(dt, theta)])
+    scalar = [slant_range(t, th, CFG600) for t, th in zip(dt, theta)]
+    assert np.array_equal(_slant_of_cos(cos_gamma, CFG600), scalar)
+    out = cos_gamma.copy()
+    assert _slant_of_cos(out, CFG600, out=out) is out
+    assert np.array_equal(out, scalar)
 
 
 def test_slant_range_rejects_bad_theta():

@@ -17,15 +17,16 @@ from hypothesis import strategies as st
 from leodoppler import montecarlo
 from leodoppler.distributions import (
     DopplerMagnitudeDistribution,
+    _magnitude_at_distance,
     doppler_cdf,
     doppler_quantile,
     doppler_support_max,
 )
-from leodoppler.doppler import doppler_bound
+from leodoppler.doppler import _shift, doppler_bound
 from leodoppler.geometry import (
-    BelowHorizonError,
-    PlanarPoint,
     SatelliteConfig,
+    _above_horizon,
+    _slant_of_cos,
     elevation_from_central_angle,
 )
 from leodoppler.montecarlo import (
@@ -33,8 +34,6 @@ from leodoppler.montecarlo import (
     ComparisonReport,
     EmpiricalCdf,
     ScenarioConfig,
-    bound_doppler_for_user,
-    exact_doppler_for_user,
     ks_distance,
     run_scenario,
     write_report_csv,
@@ -54,16 +53,33 @@ def _scenario(**overrides) -> ScenarioConfig:
 
 # ------------------------------------------------------- single users ----
 
+def _exact(x: float, y: float, sc: ScenarioConfig) -> tuple[float, bool]:
+    """Signed exact shift and visibility of a user at planar (x, y), from
+    the kernels run_scenario uses: the offset to the sub-satellite point
+    over r_E is (along-track phase, cross-track angle)."""
+    sx, sy = montecarlo._sub_satellite_xy(sc)
+    phase, theta = (sx - x) / sc.cfg.r_e, math.cos((sy - y) / sc.cfg.r_e)
+    cos_gamma = math.cos(phase) * theta
+    slant = _slant_of_cos(cos_gamma, sc.cfg)
+    return float(_shift(phase, theta, slant, sc.cfg)), bool(_above_horizon(cos_gamma, sc.cfg))
+
+
+def _envelope(x: float, y: float, sc: ScenarioConfig) -> float:
+    sx, sy = montecarlo._sub_satellite_xy(sc)
+    dist = DopplerMagnitudeDistribution.for_satellite(sc.cfg, sc.rho, sc.r_hat)
+    return float(_magnitude_at_distance(math.hypot(sx - x, sy - y), dist))
+
+
 def test_exact_doppler_zero_under_satellite():
     sc = _scenario(r_hat=0.0)
-    assert exact_doppler_for_user(PlanarPoint(0.0, 0.0), sc) == 0.0
+    assert _exact(0.0, 0.0, sc) == (0.0, True)
 
 
 def test_exact_doppler_sign_convention():
     # Sub-satellite point ahead of the user along track: receding, negative.
     sc = _scenario()
-    behind = exact_doppler_for_user(PlanarPoint(0.0, 0.0), sc)
-    ahead = exact_doppler_for_user(PlanarPoint(2.0 * sc.r_hat, 0.0), sc)
+    behind, _ = _exact(0.0, 0.0, sc)
+    ahead, _ = _exact(2.0 * sc.r_hat, 0.0, sc)
     assert behind < 0.0
     assert ahead > 0.0
     assert ahead == pytest.approx(-behind, rel=1e-12)
@@ -74,25 +90,31 @@ def test_exact_doppler_on_track_equals_envelope_at_own_elevation():
     for x in (0.0, 50e3, 120e3, 310e3):
         gamma = abs(sc.r_hat - x) / CFG600.r_e
         alpha = elevation_from_central_angle(gamma, CFG600)
-        chi = exact_doppler_for_user(PlanarPoint(x, 0.0), sc)
+        chi, _ = _exact(x, 0.0, sc)
         assert abs(chi) == pytest.approx(doppler_bound(alpha, CFG600), rel=1e-12)
 
 
 def test_exact_doppler_raises_below_horizon():
+    # The user is hidden, and run_scenario excludes it.
     sc = _scenario(r_hat=3.5e6, rho=1e3)
-    with pytest.raises(BelowHorizonError):
-        exact_doppler_for_user(PlanarPoint(0.0, 0.0), sc)
+    assert not _exact(0.0, 0.0, sc)[1]
+    sink = []
+    hidden = montecarlo._batch_magnitudes(
+        sc, np.zeros(1), np.zeros(1), lambda row, v: sink.append(v.size), np.empty((5, 1))
+    )
+    assert hidden == 1
+    assert sink == [0, 0]
 
 
 def test_bound_doppler_at_subsatellite_point_is_zero():
     sc = _scenario()
-    assert bound_doppler_for_user(PlanarPoint(sc.r_hat, 0.0), sc) == 0.0
+    assert _envelope(sc.r_hat, 0.0, sc) == 0.0
 
 
 def test_bound_doppler_saturates_at_scale():
     sc = _scenario()
     a = DopplerMagnitudeDistribution.for_satellite(CFG600, sc.rho, sc.r_hat).a
-    far = bound_doppler_for_user(PlanarPoint(sc.r_hat + 1e9, 0.0), sc)
+    far = _envelope(sc.r_hat + 1e9, 0.0, sc)
     assert far < a
     assert far == pytest.approx(a, rel=1e-6)
 
@@ -101,11 +123,15 @@ def test_bound_dominates_exact_per_sample():
     rng = np.random.default_rng(99)
     for on_track in (True, False):
         sc = _scenario(rho=150e3, r_hat=300e3, cluster_center_on_track=on_track)
-        radii = sc.rho * np.sqrt(rng.random(2000))
-        angles = 2.0 * math.pi * rng.random(2000)
-        for r, a in zip(radii, angles):
-            p = PlanarPoint(float(r * math.cos(a)), float(r * math.sin(a)))
-            assert abs(exact_doppler_for_user(p, sc)) <= bound_doppler_for_user(p, sc)
+        rows = []
+        hidden = montecarlo._batch_magnitudes(
+            sc, rng.random(2000), rng.random(2000),
+            lambda row, values: rows.append(values.copy()), np.empty((5, 2000)),
+        )
+        exact, bound = rows
+        assert hidden == 0
+        assert exact.size == 2000
+        assert np.all(exact <= bound)
 
 
 # ------------------------------------------------------ empirical CDF ----

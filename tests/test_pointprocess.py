@@ -133,6 +133,21 @@ def test_cell_parents_inside_cell_daughters_may_leave():
     assert escaped > 0
 
 
+def test_cell_draws_all_daughters_at_once_after_the_parents():
+    # One uniform-disk draw covers the parents, one more every daughter,
+    # each with its radii before its angles.
+    model = CellModel(r_cell=1e4, lambda_c=1e-7, rho=1e3, n=3)
+    clusters = sample_cell(model, np.random.default_rng(19))
+    rng = np.random.default_rng(19)
+    parents = int(rng.poisson(model.lambda_c * math.pi * model.r_cell**2))
+    centres = sample_uniform_disk(ORIGIN, model.r_cell, parents, rng).users
+    users = sample_uniform_disk(ORIGIN, model.rho, parents * 3, rng).users
+    assert len(clusters) == parents > 1
+    for k, cluster in enumerate(clusters):
+        assert (cluster.center.x, cluster.center.y) == tuple(centres[k])
+        assert np.array_equal(cluster.users, users[3 * k : 3 * k + 3] + centres[k])
+
+
 def test_cell_can_be_empty():
     model = CellModel(r_cell=1e4, lambda_c=1e-12, rho=1e3, n=4)
     assert sample_cell(model, np.random.default_rng(1)) == []
