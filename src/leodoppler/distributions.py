@@ -22,6 +22,11 @@ import numpy as np
 
 from .geometry import SatelliteConfig, angular_velocity_ecf, orbital_radius
 
+# Largest disk radius or offset accepted, in metres. Every square and
+# product the disk law forms then stays below about 5e300, short of the
+# float64 overflow at 1.8e308.
+MAX_DISK_SCALE_M = 1e150
+
 _QUANTILE_TOL_HZ = 1e-6
 # Bisection halves the bracket until it is at most max(1e-6 Hz, two float
 # spacings at its top); from a top below 2^1024 Hz that takes under 1100
@@ -34,8 +39,9 @@ class DiskDistanceDistribution:
     """Distance from a uniform point in a disk to a fixed external point.
 
     Attributes:
-        radius: Disk radius in metres (> 0).
-        offset: Distance of the fixed point from the disk centre, metres (>= 0).
+        radius: Disk radius in metres (> 0, at most MAX_DISK_SCALE_M).
+        offset: Distance of the fixed point from the disk centre, metres
+            (>= 0, at most MAX_DISK_SCALE_M).
     """
 
     radius: float
@@ -46,6 +52,11 @@ class DiskDistanceDistribution:
             raise ValueError(f"disk radius must be positive, got {self.radius}")
         if not (self.offset >= 0.0 and math.isfinite(self.offset)):
             raise ValueError(f"offset must be nonnegative, got {self.offset}")
+        if max(self.radius, self.offset) > MAX_DISK_SCALE_M:
+            raise ValueError(
+                f"disk radius and offset must be at most {MAX_DISK_SCALE_M:g} m, "
+                f"got {self.radius} and {self.offset}"
+            )
 
 
 def _eval_points(x) -> tuple[np.ndarray, bool]:
@@ -73,8 +84,8 @@ def disk_distance_cdf(r, d: DiskDistanceDistribution):
 
     Piecewise: (r / R)^2 while the circle of radius r around the fixed
     point lies inside the disk, a lens-area ratio while the two circles
-    intersect, 0 below the reachable range and 1 above it. Breakpoints
-    belong to the closed branch on their left.
+    intersect, 0 below the reachable range and exactly 1 from R + offset
+    on. The inner breakpoint belongs to the closed branch on its left.
     """
     rr, scalar = _eval_points(r)
     if np.any(rr < 0.0):
@@ -82,11 +93,11 @@ def disk_distance_cdf(r, d: DiskDistanceDistribution):
     R, off = d.radius, d.offset
     out = np.zeros_like(rr)
     hi = R + off
-    out[rr > hi] = 1.0
+    out[rr >= hi] = 1.0
     if off < R:
         inner = rr <= R - off
         out[inner] = (rr[inner] / R) ** 2
-    lens = (rr > abs(R - off)) & (rr <= hi)
+    lens = (rr > abs(R - off)) & (rr < hi)
     if np.any(lens):
         rl = rr[lens]
         theta = _lens_angle(rl, off, R)
@@ -94,8 +105,11 @@ def disk_distance_cdf(r, d: DiskDistanceDistribution):
         area = (rl**2 / (math.pi * R**2)) * (theta - 0.5 * np.sin(2.0 * theta)) + (
             phi - 0.5 * np.sin(2.0 * phi)
         ) / math.pi
-        # Cancellation can push the ratio ~1e-9 past 1 when off << R.
-        out[lens] = np.clip(area, 0.0, 1.0)
+        # Cancellation can push the ratio ~1e-9 past 1 when off << R, or a
+        # few ulps below the inner branch's value at r = R - off; F at that
+        # breakpoint bounds the lens branch from below.
+        floor = ((R - off) / R) ** 2 if off < R else 0.0
+        out[lens] = np.clip(area, floor, 1.0)
     return _scalar_or_array(out, scalar)
 
 
@@ -197,11 +211,15 @@ def _magnitude_at_distance(z, dist: DopplerMagnitudeDistribution, out=None, work
 
 
 def _distance_of_magnitude(
-    x: np.ndarray, dist: DopplerMagnitudeDistribution, out: np.ndarray | None = None
+    x: np.ndarray,
+    dist: DopplerMagnitudeDistribution,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     # Inverse of _magnitude_at_distance; callers guarantee x < A. Computed
-    # as (h x) / sqrt(A^2 - x^2) with one temporary; out receives the result.
-    den = np.square(x)
+    # as (h x) / sqrt(A^2 - x^2); out receives the result and work (a
+    # temporary if not given) sqrt(A^2 - x^2).
+    den = np.square(x, out=work)
     np.subtract(dist.a**2, den, out=den)
     np.sqrt(den, out=den)
     num = np.multiply(dist.h, x, out=out)

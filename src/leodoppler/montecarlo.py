@@ -17,17 +17,23 @@ edges spread evenly in planar distance over the cluster. Both edge families
 are evenly spaced in a known coordinate (the grid in Hz, the KS edges in
 distance), so each sample's bin is guessed in O(1) and then checked against
 the edges on either side; only samples that fail the check are searched
-for. Integer sums do not depend on their order, so results are identical
-for any worker count, and memory is O(edges + batch) whatever the number of
+for. An envelope sample's KS bin is guessed from the user's own distance,
+an exact one's from the distance at which the envelope takes its value.
+Integer sums do not depend on their order, so results are identical for
+any worker count, and memory is O(edges + batch) whatever the number of
 users. The grid columns are exact. The KS distances are upper bounds
 computed from the counts and the analytic CDF at the edges; each exceeds
 the exact statistic by at most one bin's probability mass.
+
+Users' positions come from the disk map shared with pointprocess, and
+their distances to the sub-satellite point are sqrt(x^2 + y^2). Against
+cos/sin of the full angle and hypot, per-user magnitudes differ in the
+last bits only; every CLI output file stayed byte-identical.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,7 +228,7 @@ def _uniform_batches(jobs: list, n_users: int) -> Iterator[tuple[np.ndarray, np.
     draw to the radius column, the second to the angle column. The angles
     come from a second generator advanced past the radius draws, so a chunk
     can be split across batches. The two columns are reused buffers, valid
-    until the next batch is requested.
+    until the next batch is requested; the consumer may overwrite them.
     """
     size = _batch_size(jobs, n_users)
     radius, angle = np.empty(size), np.empty(size)
@@ -253,25 +259,33 @@ def _batch_magnitudes(
     sink,
     work: np.ndarray,
 ) -> int:
-    """Hand a batch's magnitudes over visible users to sink(row, values).
+    """Hand a batch's magnitudes over visible users to sink(row, values, z).
 
-    Row 0 holds the exact magnitudes and row 1 the envelope ones. The values
-    live in work, a (5, >= batch) float array, and stay valid only until
-    sink returns. Returns the number of users that could not see the
-    satellite.
+    Row 1 holds the envelope magnitudes and goes first, row 0 the exact
+    ones. z holds, for each value, the planar distance at which the
+    envelope takes it: the user's own distance to the sub-satellite point
+    in row 1, the inverse map of the value in row 0. sink may overwrite z;
+    values and z stay valid only until sink returns. work is a (6, >=
+    batch) float array; it, u_radius and u_angle are overwritten. Returns
+    the number of users that could not see the satellite.
     """
     n = u_radius.size
     cfg = scenario.cfg
-    x, y, z, s, scratch = (row[:n] for row in work)
-    _disk_points(u_radius, u_angle, scenario.rho, x, y, s)
+    x, y, z, bound, s, scratch = (row[:n] for row in work)
+    _disk_points(u_radius, u_angle, scenario.rho, x, y, u_radius)
     # Each user's offset to the sub-satellite point. The ground track runs
     # along x, so over r_E the offset is the along-track phase dt * omega_F
     # from the user's closest approach and the cross-track angle beta.
     sx, sy = _sub_satellite_xy(scenario)
     np.subtract(sx, x, out=x)
     np.subtract(sy, y, out=y)
+    # |x| and |y| stay below pi r_E / 4 + rho, so the squares cannot overflow.
+    np.square(x, out=z)
+    np.square(y, out=s)
+    z += s
+    np.sqrt(z, out=z)
     dist = DopplerMagnitudeDistribution.for_satellite(cfg, scenario.rho, scenario.r_hat)
-    bound = _magnitude_at_distance(np.hypot(x, y, out=z), dist, out=z, work=scratch)
+    _magnitude_at_distance(z, dist, out=bound, work=scratch)
     phase, theta = x, y
     phase /= cfg.r_e
     theta /= cfg.r_e
@@ -279,12 +293,20 @@ def _batch_magnitudes(
     np.cos(phase, out=s)
     s *= theta
     visible = _above_horizon(s, cfg, work=scratch)
-    chi = _shift(phase, theta, _slant_of_cos(s, cfg, out=s), cfg, out=phase)
     hidden = n - int(np.count_nonzero(visible))
     if hidden:
+        sink(1, bound[visible], z[visible])
+    else:
+        sink(1, bound, z)
+    chi = _shift(phase, theta, _slant_of_cos(s, cfg, out=s), cfg, out=phase)
+    if hidden:
         chi = chi[visible]
-    sink(0, np.abs(chi, out=chi))
-    sink(1, bound[visible] if hidden else bound)
+    np.abs(chi, out=chi)
+    # An exact magnitude at or above A has no distance; the NaN it gets
+    # only makes the index search for that value.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z = _distance_of_magnitude(chi, dist, out=z[: chi.size], work=bound[: chi.size])
+    sink(0, chi, z)
     return hidden
 
 
@@ -317,22 +339,23 @@ def _slot_guess(t: np.ndarray, top: int, out: np.ndarray) -> None:
 class _EdgeIndex:
     """Bin index of values among the report grid and the KS edges.
 
-    index(values, real, whole) equals np.searchsorted(edges, values,
+    index(values, z, whole) equals np.searchsorted(edges, values,
     side="left") for every float, NaN and +-inf included, where edges is the
     sorted union of the two families. KS bin j is (ks[j-1], ks[j]] with ks
-    padded by -inf and +inf. A value's KS bin is guessed from its distance,
-    z(v), and kept only if the edges on either side bracket the value. If
-    no grid point lies inside that bin, the merged index is base[j] = j +
-    (grid points at or below ks[j-1]). Otherwise the value's grid slot k is
-    guessed from its Hz value, checked the same way, and the merged index
-    is j + k. Values that fail either check are searched for.
+    padded by -inf and +inf. A value's KS bin is guessed from z, the planar
+    distance at which the envelope takes that value, and kept only if the
+    edges on either side bracket the value; z may be off by rounding, or be
+    any float at all, without changing the result. If no grid point lies
+    inside that bin, the merged index is base[j] = j + (grid points at or
+    below ks[j-1]). Otherwise the value's grid slot k is guessed from its
+    Hz value, checked the same way, and the merged index is j + k. Values
+    that fail either check are searched for.
     """
 
     def __init__(
         self, grid: np.ndarray, ks: np.ndarray, dist: DopplerMagnitudeDistribution
     ) -> None:
         self.edges = np.sort(np.concatenate((grid, ks)))
-        self._dist = dist
         self._z_lo, z_hi = _ks_span(dist)
         sorted_grid = np.sort(grid)
         with np.errstate(all="ignore"):
@@ -345,34 +368,31 @@ class _EdgeIndex:
         self._base = np.arange(ks.size + 1) + at_or_below[:-1]
         self._mixed = below[1:] > at_or_below[:-1]
 
-    def __call__(self, values: np.ndarray, real: np.ndarray, whole: np.ndarray) -> np.ndarray:
+    def __call__(self, values: np.ndarray, z: np.ndarray, whole: np.ndarray) -> np.ndarray:
         """Merged indices of values, returned in a row of whole.
 
-        real (>= n floats) and whole (2 rows of >= n intp) are overwritten.
+        z (n floats) and whole (2 rows of >= n intp) are overwritten.
         The slot guesses are clipped into their tables, so mode="clip" in the
         lookups below never changes an index; it lets np.take write into out
         without a temporary copy.
         """
-        n = values.size
-        t = real[:n]
-        j, out = (row[:n] for row in whole)
+        j, out = (row[: values.size] for row in whole)
         with np.errstate(all="ignore"):
-            _distance_of_magnitude(values, self._dist, out=t)
-            t -= self._z_lo
-            t *= self._ks_scale
-        _slot_guess(t, self._ks.size - 2, j)
-        hit = np.take(self._ks, j, out=t, mode="clip") < values
-        hit &= values <= np.take(self._ks[1:], j, out=t, mode="clip")
+            z -= self._z_lo
+            z *= self._ks_scale
+        _slot_guess(z, self._ks.size - 2, j)
+        hit = np.take(self._ks, j, out=z, mode="clip") < values
+        hit &= values <= np.take(self._ks[1:], j, out=z, mode="clip")
         todo = ~hit
         todo |= np.take(self._mixed, j)
         if todo.all():
             # All mixed, as when every value lies below the first KS edge.
-            return self._mixed_bins(values, j, hit, t, out)
+            return self._mixed_bins(values, j, hit, z, out)
         np.take(self._base, j, out=out, mode="clip")
         rest = np.flatnonzero(todo)
         if rest.size:
             out[rest] = self._mixed_bins(
-                values[rest], j[rest], hit[rest], t[: rest.size], np.empty_like(rest)
+                values[rest], j[rest], hit[rest], z[: rest.size], np.empty_like(rest)
             )
         return out
 
@@ -412,13 +432,13 @@ def _count_chunks(
     real = np.empty((6, size))
     whole = np.empty((2, size), dtype=np.intp)
 
-    def add_counts(row: int, values: np.ndarray) -> None:
-        counts = np.bincount(index(values, real[5], whole))
+    def add_counts(row: int, values: np.ndarray, z: np.ndarray) -> None:
+        counts = np.bincount(index(values, z, whole))
         acc[row, : counts.size] += counts
 
     excluded = 0
     for u_radius, u_angle in _uniform_batches(jobs, scenario.n_users):
-        excluded += _batch_magnitudes(scenario, u_radius, u_angle, add_counts, real[:5])
+        excluded += _batch_magnitudes(scenario, u_radius, u_angle, add_counts, real)
     return acc, excluded
 
 
@@ -475,6 +495,10 @@ def run_scenario(
     if workers == 1:
         parts = [_count_chunks(scenario, index, jobs)]
     else:
+        # Imported here: concurrent.futures pulls in logging, about 10 ms
+        # of start-up that the single-curve CLI commands never need.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(

@@ -1,6 +1,8 @@
 """Shared fixtures."""
 from __future__ import annotations
 
+import concurrent.futures
+
 import pytest
 
 from leodoppler import montecarlo
@@ -29,7 +31,9 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return list(map(fn, *iterables))
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
+    # run_scenario imports the pool class from concurrent.futures when it
+    # needs one, so the class is replaced there.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
     return sizes
 
 

@@ -384,3 +384,20 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "cdf.csv").exists()
+
+
+def test_cli_import_leaves_out_the_thread_pool():
+    # Only a multi-threaded run_scenario needs concurrent.futures, which
+    # also imports logging; cdf, pdf and order-stats should not pay for it.
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, leodoppler.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from leodoppler.distributions import (
+    MAX_DISK_SCALE_M,
     DiskDistanceDistribution,
     DopplerMagnitudeDistribution,
     _magnitude_at_distance,
@@ -155,6 +156,37 @@ def test_disk_law_on_lens_is_a_valid_distribution(log_radius, log_offset, t):
     assert np.all(np.isfinite(pdf) & (pdf >= 0.0))
 
 
+@settings(max_examples=300, deadline=None)
+@given(log_radius=st.floats(0.0, 6.0), log_offset=st.floats(0.0, 6.0))
+def test_disk_cdf_is_monotone_and_reaches_one_at_far_edge(log_radius, log_offset):
+    # F(R + offset) used to miss 1 in 3 of 2000 such geometries.
+    d = DiskDistanceDistribution(10.0**log_radius, 10.0**log_offset)
+    lo, hi = abs(d.radius - d.offset), d.radius + d.offset
+    r = np.sort(np.concatenate((
+        np.linspace(0.0, hi, 1000),
+        [np.nextafter(lo, 0.0), lo, np.nextafter(lo, np.inf), np.nextafter(hi, 0.0), 2.0 * hi],
+    )))
+    f = disk_distance_cdf(r, d)
+    assert np.all(np.diff(f) >= 0.0)
+    assert disk_distance_cdf(hi, d) == 1.0
+
+
+@pytest.mark.parametrize(
+    "radius, offset",
+    [
+        (5702.413928964687, 2041.015412915094),
+        (433358.4611308371, 7638.280775553612),
+        (773627.3088475113, 1.05619348376686),
+    ],
+)
+def test_disk_cdf_lens_starts_at_the_inner_value(radius, offset):
+    # Rounding put the lens formula one float above R - offset a few ulps
+    # below the inner branch's value at R - offset in these geometries.
+    d = DiskDistanceDistribution(radius, offset)
+    lo = radius - offset
+    assert disk_distance_cdf(np.nextafter(lo, np.inf), d) >= disk_distance_cdf(lo, d)
+
+
 def test_disk_cdf_rejects_negative_distance():
     d = DiskDistanceDistribution(radius=1.0, offset=0.0)
     with pytest.raises(ValueError):
@@ -206,6 +238,22 @@ def test_disk_distribution_validation():
         DiskDistanceDistribution(radius=0.0, offset=1.0)
     with pytest.raises(ValueError):
         DiskDistanceDistribution(radius=1.0, offset=-0.5)
+
+
+@pytest.mark.parametrize("radius, offset", [(1e200, 1e200), (2e150, 1.0), (1.0, 2e150)])
+def test_disk_distribution_rejects_scales_that_would_overflow(radius, offset):
+    # off**2 raised OverflowError inside disk_distance_cdf(1.5e200, ...).
+    with pytest.raises(ValueError, match="at most"):
+        DiskDistanceDistribution(radius, offset)
+
+
+def test_disk_law_holds_at_the_largest_accepted_scale():
+    d = DiskDistanceDistribution(MAX_DISK_SCALE_M, MAX_DISK_SCALE_M)
+    r = np.array([0.0, 0.5, 1.0, 1.5, 2.0]) * MAX_DISK_SCALE_M
+    f = disk_distance_cdf(r, d)
+    assert np.all(np.diff(f) >= 0.0)
+    assert f[0] == 0.0 and f[-1] == 1.0
+    assert np.all(np.isfinite(disk_distance_pdf(r, d)))
 
 
 # ------------------------------------------------------- Doppler scale ----

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from leodoppler import montecarlo
 from leodoppler.distributions import (
     DopplerMagnitudeDistribution,
+    _distance_of_magnitude,
     _magnitude_at_distance,
     doppler_cdf,
     doppler_quantile,
@@ -100,7 +101,7 @@ def test_exact_doppler_raises_below_horizon():
     assert not _exact(0.0, 0.0, sc)[1]
     sink = []
     hidden = montecarlo._batch_magnitudes(
-        sc, np.zeros(1), np.zeros(1), lambda row, v: sink.append(v.size), np.empty((5, 1))
+        sc, np.zeros(1), np.zeros(1), lambda row, v, z: sink.append(v.size), np.empty((6, 1))
     )
     assert hidden == 1
     assert sink == [0, 0]
@@ -126,9 +127,9 @@ def test_bound_dominates_exact_per_sample():
         rows = []
         hidden = montecarlo._batch_magnitudes(
             sc, rng.random(2000), rng.random(2000),
-            lambda row, values: rows.append(values.copy()), np.empty((5, 2000)),
+            lambda row, values, z: rows.append(values.copy()), np.empty((6, 2000)),
         )
-        exact, bound = rows
+        bound, exact = rows
         assert hidden == 0
         assert exact.size == 2000
         assert np.all(exact <= bound)
@@ -316,8 +317,8 @@ def _reference_samples(sc: ScenarioConfig):
         u_radius = rng.random(count)
         u_angle = rng.random(count)
         excluded += montecarlo._batch_magnitudes(
-            sc, u_radius, u_angle, lambda row, values: rows[row].append(values.copy()),
-            np.empty((5, count)),
+            sc, u_radius, u_angle, lambda row, values, z: rows[row].append(values.copy()),
+            np.empty((6, count)),
         )
     return np.concatenate(rows[0]), np.concatenate(rows[1]), excluded
 
@@ -347,7 +348,8 @@ def test_edge_index_equals_searchsorted(r_hat, grid_top):
     dist = DopplerMagnitudeDistribution.for_satellite(CFG600, 100e3, r_hat)
     top = doppler_support_max(dist) if grid_top is None else grid_top
     grid = np.linspace(0.0, top, 512)
-    index = montecarlo._EdgeIndex(grid, montecarlo._ks_edges(dist, 10**7), dist)
+    ks = montecarlo._ks_edges(dist, 10**7)
+    index = montecarlo._EdgeIndex(grid, ks, dist)
     edges = index.edges
     a = dist.a
     values = np.concatenate((
@@ -356,8 +358,34 @@ def test_edge_index_equals_searchsorted(r_hat, grid_top):
         np.nextafter(edges, np.inf),
         [0.0, -0.0, a, np.nextafter(a, 0.0), 2.0 * a, 5e-324, np.inf, -np.inf, np.nan],
     ))
-    got = index(values, np.empty(values.size), np.empty((2, values.size), dtype=np.intp))
-    assert np.array_equal(got, np.searchsorted(edges, values, side="left"))
+
+    def lookup(v, z):
+        return index(v, z, np.empty((2, v.size), dtype=np.intp))
+
+    expected = np.searchsorted(edges, values, side="left")
+    # The exact row guesses from the distance at which the envelope takes
+    # each value.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z = _distance_of_magnitude(values, dist)
+    assert np.array_equal(lookup(values, z), expected)
+    # The envelope row guesses from each user's own distance: here the KS
+    # distances, their float neighbours, and distances past both ends.
+    z_lo, z_hi = montecarlo._ks_span(dist)
+    z_ks = np.linspace(z_lo, z_hi, ks.size)
+    z = np.concatenate((
+        z_ks, np.nextafter(z_ks, -np.inf), np.nextafter(z_ks, np.inf),
+        np.linspace(0.0, 2.0 * z_hi, 10_001),
+    ))
+    z = z[z >= 0.0]
+    envelope = _magnitude_at_distance(z, dist)
+    got = lookup(envelope, z.copy())
+    assert np.array_equal(got, np.searchsorted(edges, envelope, side="left"))
+    # Any distance at all, however wrong, leaves the result unchanged.
+    rng = np.random.default_rng(0)
+    junk = np.concatenate((
+        rng.uniform(-z_hi, 3.0 * z_hi, values.size - 4), [np.nan, np.inf, -np.inf, -0.0]
+    ))
+    assert np.array_equal(lookup(values, junk), expected)
 
 
 @pytest.mark.parametrize(

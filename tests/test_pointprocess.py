@@ -15,6 +15,8 @@ from leodoppler.geometry import PlanarPoint
 from leodoppler.pointprocess import (
     CellModel,
     ClusterSample,
+    _disk_offsets,
+    _disk_points,
     distances_to_point,
     dump_clusters_csv,
     sample_cell,
@@ -86,6 +88,60 @@ def test_disk_sampling_validation():
         sample_uniform_disk(ORIGIN, 0.0, 10, rng)
     with pytest.raises(ValueError):
         sample_uniform_disk(ORIGIN, 1e5, 0, rng)
+
+
+def _disk_map(u_radius, u_angle, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """_disk_points on copies of the draws, with a work array of its own."""
+    u_radius = np.array(u_radius, dtype=float)
+    x, y = np.empty(u_radius.size), np.empty(u_radius.size)
+    _disk_points(u_radius, np.array(u_angle, dtype=float), rho, x, y, np.empty(u_radius.size))
+    return x, y
+
+
+def test_disk_map_puts_axis_points_on_the_axes():
+    rho = 1e5
+    u_radius = np.array([0.0, 0.25, 0.3, 0.5, 1.0 - 2.0**-53])
+    r = rho * np.sqrt(u_radius)
+    for u, (cx, cy) in ((0.0, (1, 0)), (0.25, (0, 1)), (0.5, (-1, 0)), (0.75, (0, -1))):
+        x, y = _disk_map(u_radius, np.full(u_radius.size, u), rho)
+        assert np.array_equal(x, cx * r)
+        assert np.array_equal(y, cy * r)
+
+
+def test_disk_map_matches_cos_sin_of_the_full_angle():
+    rng = np.random.default_rng(12)
+    eighths = np.arange(9) / 8.0
+    u_angle = np.concatenate((
+        rng.random(1_000_000),
+        eighths[:8],
+        np.nextafter(eighths[:8], np.inf),
+        np.nextafter(eighths[1:], -np.inf),  # ends with the largest float below 1
+    ))
+    u_radius = rng.random(u_angle.size)
+    rho = 1e5
+    x, y = _disk_map(u_radius, u_angle, rho)
+    r = rho * np.sqrt(u_radius)
+    theta = 2.0 * math.pi * u_angle
+    assert np.all(np.abs(x - r * np.cos(theta)) <= 1e-15 * r)
+    assert np.all(np.abs(y - r * np.sin(theta)) <= 1e-15 * r)
+    # The quadrant turn itself is exact: each coordinate is +-r cos d or
+    # +-r sin d of the reduced angle d.
+    q = np.rint(4.0 * u_angle)
+    d = (4.0 * u_angle - q) * (0.5 * math.pi)
+    c, s = r * np.cos(d), r * np.sin(d)
+    quadrant = q.astype(int)
+    assert np.array_equal(x, np.choose(quadrant, [c, -s, -c, s, c]))
+    assert np.array_equal(y, np.choose(quadrant, [s, c, -s, -c, s]))
+
+
+def test_disk_offsets_may_reuse_the_radius_draws_as_work():
+    # _disk_offsets hands the radius draws to _disk_points as its work array.
+    offsets = _disk_offsets(1e5, 10_000, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    u_radius = rng.random(10_000)
+    x, y = _disk_map(u_radius, rng.random(10_000), 1e5)
+    assert np.array_equal(offsets[:, 0], x)
+    assert np.array_equal(offsets[:, 1], y)
 
 
 def test_cluster_sample_shape_validation():
