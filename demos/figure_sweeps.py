@@ -6,15 +6,15 @@ sweep_out/, so rows at equal x are directly comparable.
 """
 from pathlib import Path
 
-from leodoppler.cli import cmd_figure, default_run_config
+from leodoppler.cli import cmd_figure, default_config
 
 out_dir = Path("sweep_out")
 out_dir.mkdir(exist_ok=True)
-rc = default_run_config()
+sc = default_config()
 
 for preset in ("fig2", "fig3", "fig4"):
     print(f"{preset}:")
-    written = cmd_figure(preset, rc, out_dir)
+    written = cmd_figure(preset, sc, out_dir)
     for path in written:
         if path.suffix != ".txt":
             continue

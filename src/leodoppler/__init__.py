@@ -43,9 +43,7 @@ from .geometry import (
     angular_velocity_ecf,
     central_angle,
     elevation_from_central_angle,
-    elevation_planar_approx,
     orbital_radius,
-    plane_to_sphere,
     slant_range,
 )
 from .montecarlo import (
@@ -97,7 +95,6 @@ __all__ = [
     "doppler_support_min",
     "dump_clusters_csv",
     "elevation_from_central_angle",
-    "elevation_planar_approx",
     "epsilon_accuracy_offsets",
     "gamma_dot",
     "ks_distance",
@@ -109,7 +106,6 @@ __all__ = [
     "overhead_cdf",
     "overhead_pdf",
     "param_A",
-    "plane_to_sphere",
     "run_scenario",
     "sample_cell",
     "sample_uniform_disk",

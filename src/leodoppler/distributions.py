@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SatelliteConfig, angular_velocity_ecf, orbital_radius
+from .geometry import SatelliteConfig, _integral, angular_velocity_ecf, orbital_radius
 
 # Largest disk radius or offset accepted, in metres. Every square and
 # product the disk law forms then stays below about 5e300, short of the
@@ -296,42 +296,43 @@ def doppler_quantile(p, dist: DopplerMagnitudeDistribution):
     return _scalar_or_array(out, scalar)
 
 
-def _validate_cluster_size(n: int) -> int:
-    if int(n) != n or n < 1:
-        raise ValueError(f"cluster size must be a positive integer, got {n}")
-    return int(n)
+def _order_statistic(
+    x, dist: DopplerMagnitudeDistribution, n: int, minimum: bool, density: bool
+):
+    """CDF or density of the minimum or maximum magnitude over n independent
+    users, from the single-user CDF F and density f: 1 - (1 - F)^n and
+    n (1 - F)^(n - 1) f for the minimum, F^n and n F^(n - 1) f for the
+    maximum."""
+    if not (_integral(n) and n >= 1):
+        raise ValueError(f"cluster size n must be a positive integer, got {n}")
+    n = int(n)
+    f = np.asarray(doppler_cdf(x, dist))
+    base = 1.0 - f if minimum else f
+    if density:
+        out = n * base ** (n - 1) * np.asarray(doppler_pdf(x, dist))
+    else:
+        out = 1.0 - base**n if minimum else base**n
+    return float(out) if out.ndim == 0 else out
 
 
 def min_doppler_cdf(x, dist: DopplerMagnitudeDistribution, n: int):
     """CDF of the minimum magnitude over n independent users."""
-    n = _validate_cluster_size(n)
-    f = np.asarray(doppler_cdf(x, dist))
-    out = 1.0 - (1.0 - f) ** n
-    return float(out) if out.ndim == 0 else out
+    return _order_statistic(x, dist, n, minimum=True, density=False)
 
 
 def min_doppler_pdf(x, dist: DopplerMagnitudeDistribution, n: int):
     """Density of the minimum magnitude over n independent users."""
-    n = _validate_cluster_size(n)
-    f = np.asarray(doppler_cdf(x, dist))
-    out = n * (1.0 - f) ** (n - 1) * np.asarray(doppler_pdf(x, dist))
-    return float(out) if out.ndim == 0 else out
+    return _order_statistic(x, dist, n, minimum=True, density=True)
 
 
 def max_doppler_cdf(x, dist: DopplerMagnitudeDistribution, n: int):
     """CDF of the maximum magnitude over n independent users."""
-    n = _validate_cluster_size(n)
-    f = np.asarray(doppler_cdf(x, dist))
-    out = f**n
-    return float(out) if out.ndim == 0 else out
+    return _order_statistic(x, dist, n, minimum=False, density=False)
 
 
 def max_doppler_pdf(x, dist: DopplerMagnitudeDistribution, n: int):
     """Density of the maximum magnitude over n independent users."""
-    n = _validate_cluster_size(n)
-    f = np.asarray(doppler_cdf(x, dist))
-    out = n * f ** (n - 1) * np.asarray(doppler_pdf(x, dist))
-    return float(out) if out.ndim == 0 else out
+    return _order_statistic(x, dist, n, minimum=False, density=True)
 
 
 def _require_overhead(dist: DopplerMagnitudeDistribution) -> None:

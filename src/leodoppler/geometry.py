@@ -1,9 +1,9 @@
 """Orbital and spherical-Earth geometry for a circular-orbit LEO satellite.
 
 Everything here is deterministic geometry: orbital radius, the relative
-angular velocity seen from the rotating Earth, slant range, central angle,
-elevation, and the local tangent-plane mapping used to place clustered
-ground users on the sphere.
+angular velocity seen from the rotating Earth, slant range, horizon test,
+central angle and elevation. Clustered users are placed on the sphere by
+arc length about the cluster centre, inline in the Monte Carlo layer.
 
 Units are strictly SI (metres, radians, seconds, hertz) at every interface.
 """
@@ -24,6 +24,14 @@ EARTH_ANGULAR_VELOCITY_RAD_S = 7.27e-5
 # Inverse-trig arguments within this distance outside [-1, 1] are treated as
 # floating-point noise and clamped; anything further out is a domain error.
 INVERSE_TRIG_CLAMP_TOL = 1e-12
+
+
+def _integral(value) -> bool:
+    """True for a finite number without a fractional part."""
+    try:
+        return int(value) == value
+    except (OverflowError, TypeError, ValueError):
+        return False
 
 
 class BelowHorizonError(Exception):
@@ -182,52 +190,3 @@ def elevation_from_central_angle(gamma: float, cfg: SatelliteConfig) -> float:
             f"satellite below horizon at central angle {gamma:.6f} rad"
         )
     return math.asin(clamp_unit(vertical / _slant_of_cos(cos_gamma, cfg)))
-
-
-def elevation_planar_approx(z: float, cfg: SatelliteConfig) -> float:
-    """Flat-earth cosine of the elevation angle at planar distance z.
-
-    Treats the neighbourhood of the sub-satellite point as a plane at
-    altitude h below the satellite, so the slant range is sqrt(h^2 + z^2).
-
-    Args:
-        z: Planar distance in metres from the sub-satellite point.
-        cfg: Satellite description.
-
-    Returns:
-        Approximate cos(elevation), dimensionless. Not clamped: past the
-        flat-earth validity range the value exceeds 1.
-    """
-    if z < 0.0:
-        raise ValueError(f"planar distance must be nonnegative, got {z}")
-    r_o = orbital_radius(cfg)
-    return r_o * z / (cfg.r_e * math.hypot(cfg.h, z))
-
-
-def plane_to_sphere(p: PlanarPoint, cfg: SatelliteConfig) -> tuple[float, float]:
-    """Map a tangent-plane point to spherical offsets about the cluster centre.
-
-    The plane's x axis lies along the satellite ground track, y across it.
-    Arc lengths map linearly: the cross-track angle is y / r_E and the
-    along-track angle is x / r_E. Composition back to a central angle uses
-    the spherical right-triangle relation cos(gamma) = cos(beta) * cos(psi).
-
-    Args:
-        p: Point in the tangent plane, metres.
-        cfg: Satellite description.
-
-    Returns:
-        (beta, psi): cross-track and along-track angles in radians.
-
-    Raises:
-        ValueError: If |p| exceeds pi * r_E / 4, outside the mapping's
-            validity region.
-    """
-    norm = math.hypot(p.x, p.y)
-    limit = math.pi * cfg.r_e / 4.0
-    if norm > limit:
-        raise ValueError(
-            f"point at {norm:.1f} m from the cluster centre exceeds the "
-            f"tangent-plane validity radius {limit:.1f} m"
-        )
-    return p.y / cfg.r_e, p.x / cfg.r_e

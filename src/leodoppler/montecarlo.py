@@ -46,7 +46,7 @@ from .distributions import (
     doppler_support_max,
 )
 from .doppler import _shift
-from .geometry import SatelliteConfig, _above_horizon, _slant_of_cos
+from .geometry import SatelliteConfig, _above_horizon, _integral, _slant_of_cos
 from .pointprocess import _disk_points
 
 # Trials are distributed over this many independently seeded chunks
@@ -75,14 +75,6 @@ MAX_GRID_POINTS = 10**6
 _REPORT_CSV_HEADER = "x_hz,cdf_analytic,cdf_emp_exact,cdf_emp_bound"
 
 
-def _integral(value) -> bool:
-    """True for a finite number without a fractional part."""
-    try:
-        return int(value) == value
-    except (OverflowError, TypeError, ValueError):
-        return False
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Frozen serving scene for one Monte Carlo comparison.
@@ -101,6 +93,7 @@ class ScenarioConfig:
             ground track through the cluster centre at along-track distance
             r_hat; False instead passes the ground track abeam the centre at
             cross-track distance r_hat (closest approach).
+        grid_points: Number of report grid abscissae (2 to MAX_GRID_POINTS).
     """
 
     cfg: SatelliteConfig
@@ -110,6 +103,7 @@ class ScenarioConfig:
     trials: int
     seed: int
     cluster_center_on_track: bool = True
+    grid_points: int = 512
 
     def __post_init__(self) -> None:
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
@@ -123,9 +117,9 @@ class ScenarioConfig:
                 f"point, beyond the tangent-plane validity radius {limit:.1f} m"
             )
         if not (_integral(self.n_users) and self.n_users >= 1):
-            raise ValueError(f"users per trial must be a positive integer, got {self.n_users}")
+            raise ValueError(f"n_users must be a positive integer, got {self.n_users}")
         if not (_integral(self.trials) and self.trials >= 1):
-            raise ValueError(f"trial count must be a positive integer, got {self.trials}")
+            raise ValueError(f"trials must be a positive integer, got {self.trials}")
         if self.n_users * self.trials > MAX_USERS:
             raise ValueError(
                 f"n_users * trials must be at most {MAX_USERS}, "
@@ -133,6 +127,13 @@ class ScenarioConfig:
             )
         if not (_integral(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not (_integral(self.grid_points) and 2 <= self.grid_points <= MAX_GRID_POINTS):
+            raise ValueError(
+                f"grid_points must be 2 to {MAX_GRID_POINTS}, got {self.grid_points}"
+            )
+        # Whole floats pass the checks above; the sampler needs ints.
+        for key in ("n_users", "trials", "seed", "grid_points"):
+            object.__setattr__(self, key, int(getattr(self, key)))
 
 
 @dataclass(frozen=True)
@@ -458,7 +459,6 @@ def _ks_upper(cum: np.ndarray, n: int, cdf: np.ndarray) -> float:
 def run_scenario(
     scenario: ScenarioConfig,
     threads: int = 1,
-    grid_points: int = 512,
     x_max: float | None = None,
 ) -> ComparisonReport:
     """Sample the scenario and compare empirical laws against the closed form.
@@ -467,7 +467,6 @@ def run_scenario(
         scenario: Frozen serving scene.
         threads: Worker threads; any value yields identical results. At most
             one thread per chunk is started.
-        grid_points: Number of grid abscissae (2 to MAX_GRID_POINTS).
         x_max: Upper grid limit in Hz; defaults to the analytic support top.
 
     Returns:
@@ -475,15 +474,11 @@ def run_scenario(
     """
     if threads < 1:
         raise ValueError(f"thread count must be positive, got {threads}")
-    if not 2 <= grid_points <= MAX_GRID_POINTS:
-        raise ValueError(
-            f"grid needs 2 to {MAX_GRID_POINTS} points, got {grid_points}"
-        )
     dist = DopplerMagnitudeDistribution.for_satellite(
         scenario.cfg, scenario.rho, scenario.r_hat
     )
     grid_top = doppler_support_max(dist) if x_max is None else float(x_max)
-    grid = np.linspace(0.0, grid_top, grid_points)
+    grid = np.linspace(0.0, grid_top, scenario.grid_points)
     cdf_analytic = np.asarray(doppler_cdf(grid, dist))
     users = scenario.n_users * scenario.trials
     ks_edges = _ks_edges(dist, users)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PlanarPoint
+from .geometry import PlanarPoint, _integral
 
 _CSV_HEADER = "cluster_id,user_id,x_m,y_m"
 
@@ -49,8 +49,8 @@ class CellModel:
                 f"cluster radius must lie in (0, r_cell], got {self.rho} "
                 f"with r_cell {self.r_cell}"
             )
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"users per cluster must be a positive integer, got {self.n}")
+        if not (_integral(self.n) and self.n >= 1):
+            raise ValueError(f"users per cluster n must be a positive integer, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,8 @@ def sample_uniform_disk(
     """
     if not (rho > 0.0 and math.isfinite(rho)):
         raise ValueError(f"disk radius must be positive, got {rho}")
-    if int(n) != n or n < 1:
-        raise ValueError(f"user count must be a positive integer, got {n}")
+    if not (_integral(n) and n >= 1):
+        raise ValueError(f"user count n must be a positive integer, got {n}")
     users = _disk_offsets(rho, int(n), rng) + np.array([center.x, center.y])
     return ClusterSample(center, users)
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
 
-from leodoppler.cli import cmd_simulate, default_run_config, figure_scenarios
+from leodoppler.cli import cmd_simulate, default_config, figure_scenarios
 from leodoppler.distributions import (
     DiskDistanceDistribution,
     DopplerMagnitudeDistribution,
@@ -69,9 +70,10 @@ def test_envelope_sampling_matches_magnitude_law():
     for seed in (1, 2, 3):
         for r_hat in (0.0, 50e3, 200e3):
             scenario = ScenarioConfig(
-                cfg=CFG600, rho=100e3, r_hat=r_hat, n_users=8, trials=12_500, seed=seed
+                cfg=CFG600, rho=100e3, r_hat=r_hat, n_users=8, trials=12_500, seed=seed,
+                grid_points=64,
             )
-            report = run_scenario(scenario, grid_points=64)
+            report = run_scenario(scenario)
             worst = max(worst, report.ks_bound * math.sqrt(100_000))
     elapsed = time.perf_counter() - start
     _verdict(
@@ -175,8 +177,8 @@ def test_envelope_dominance():
             violations += 1
 
     preset_violations = 0
-    for _, scenario in figure_scenarios("fig2", default_run_config()):
-        preset_violations += run_scenario(scenario, grid_points=128).dominance_violations
+    for _, scenario in figure_scenarios("fig2", replace(default_config(), grid_points=128)):
+        preset_violations += run_scenario(scenario).dominance_violations
     elapsed = time.perf_counter() - start
     _verdict(
         violations == 0 and preset_violations == 0 and elapsed < 10.0,
@@ -228,10 +230,10 @@ def test_preset_trend_orderings():
     # larger magnitudes, higher altitude shifts it back, including for the
     # scaled pair (1200 km, 200 km) vs (600 km, 100 km).
     start = time.perf_counter()
-    rc = default_run_config()
+    sc = default_config()
 
     def curves(preset: str) -> dict[str, np.ndarray]:
-        scenarios = figure_scenarios(preset, rc)
+        scenarios = figure_scenarios(preset, sc)
         dists = {
             label: DopplerMagnitudeDistribution.for_satellite(s.cfg, s.rho, s.r_hat)
             for label, s in scenarios
@@ -334,11 +336,11 @@ def test_order_statistics_sampling():
 def test_simulation_determinism(tmp_path):
     # Identical seeds give byte-identical simulate outputs across reruns
     # and across thread counts 1 and 4.
-    rc = default_run_config()
+    sc = default_config()
     outputs = []
     for tag, threads in (("first", 1), ("second", 1), ("threaded", 4)):
         out_dir = tmp_path / tag
         out_dir.mkdir()
-        outputs.append(tuple(p.read_bytes() for p in cmd_simulate(rc, out_dir, threads)))
+        outputs.append(tuple(p.read_bytes() for p in cmd_simulate(sc, out_dir, threads)))
     ok = outputs[0] == outputs[1] == outputs[2]
     _verdict(ok, "simulate outputs byte-identical across reruns and thread counts")

@@ -1,6 +1,7 @@
 """Config parsing, subcommand outputs, and exit codes of the CLI."""
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 import tempfile
@@ -19,12 +20,10 @@ from leodoppler.cli import (
     VALID_KEYS,
     ConfigParseError,
     ConfigValidationError,
-    cmd_cdf,
+    cmd_curve,
     cmd_figure,
-    cmd_order_stats,
-    cmd_pdf,
     cmd_simulate,
-    default_run_config,
+    default_config,
     figure_scenarios,
     main,
     parse_config,
@@ -44,37 +43,37 @@ def _load_curve(path):
 # ------------------------------------------------------------- parsing ----
 
 def test_parse_minimal_config_fills_documented_defaults(tmp_path):
-    rc = parse_config(_write_config(tmp_path, "h_km = 600\n"))
-    sat = rc.satellite
+    sc = parse_config(_write_config(tmp_path, "h_km = 600\n"))
+    sat = sc.cfg
     assert sat.f_c == 2e9
     assert sat.h == 600e3
     assert sat.omega_s == 1.1e-3
     assert sat.omega_e == 7.27e-5
     assert sat.theta_i == 0.0
     assert sat.r_e == 6_371_000.0
-    assert rc.rho == 100e3
-    assert rc.r_hat == 200e3
-    assert (rc.n_users, rc.trials, rc.seed, rc.grid_points) == (8, 1250, 1, 512)
+    assert sc.rho == 100e3
+    assert sc.r_hat == 200e3
+    assert (sc.n_users, sc.trials, sc.seed, sc.grid_points) == (8, 1250, 1, 512)
 
 
 def test_parse_config_accepts_comments_and_blank_lines(tmp_path):
-    rc = parse_config(
+    sc = parse_config(
         _write_config(
             tmp_path,
             "# serving scene\n\nh_km = 1200\nrho_km = 150\n  # indented comment\n",
         )
     )
-    assert rc.satellite.h == 1200e3
-    assert rc.satellite.omega_s == 9.5809e-4
-    assert rc.rho == 150e3
+    assert sc.cfg.h == 1200e3
+    assert sc.cfg.omega_s == 9.5809e-4
+    assert sc.rho == 150e3
     # Default centre offset follows the overridden radius.
-    assert rc.r_hat == 300e3
+    assert sc.r_hat == 300e3
 
 
 def test_parse_config_explicit_offset_wins(tmp_path):
-    rc = parse_config(_write_config(tmp_path, "h_km = 600\nrho_km = 50\nr_hat_km = 0\n"))
-    assert rc.rho == 50e3
-    assert rc.r_hat == 0.0
+    sc = parse_config(_write_config(tmp_path, "h_km = 600\nrho_km = 50\nr_hat_km = 0\n"))
+    assert sc.rho == 50e3
+    assert sc.r_hat == 0.0
 
 
 def test_parse_config_requires_altitude(tmp_path):
@@ -85,8 +84,8 @@ def test_parse_config_requires_altitude(tmp_path):
 def test_parse_config_nonstandard_altitude_needs_orbit_rate(tmp_path):
     with pytest.raises(ConfigValidationError, match="omega_s"):
         parse_config(_write_config(tmp_path, "h_km = 800\n"))
-    rc = parse_config(_write_config(tmp_path, "h_km = 800\nomega_s_rad_s = 1.04e-3\n"))
-    assert rc.satellite.omega_s == 1.04e-3
+    sc = parse_config(_write_config(tmp_path, "h_km = 800\nomega_s_rad_s = 1.04e-3\n"))
+    assert sc.cfg.omega_s == 1.04e-3
 
 
 def test_parse_config_rejects_unknown_key_with_line_number(tmp_path):
@@ -129,17 +128,17 @@ def test_parse_config_validates_physics(tmp_path):
         parse_config(_write_config(tmp_path, "h_km = 600\ngrid_points = 1\n"))
 
 
-def test_default_run_config_matches_minimal_file(tmp_path):
+def test_default_config_matches_minimal_file(tmp_path):
     from_file = parse_config(_write_config(tmp_path, "h_km = 600\n"))
-    assert default_run_config() == from_file
-    assert default_run_config(1200.0).satellite.omega_s == 9.5809e-4
+    assert default_config() == from_file
+    assert default_config(1200.0).cfg.omega_s == 9.5809e-4
 
 
 # ---------------------------------------------------------- subcommands ----
 
 def test_cmd_cdf_curve(tmp_path):
-    rc = parse_config(_write_config(tmp_path, "h_km = 600\nr_hat_km = 0\n"))
-    out = cmd_cdf(rc, tmp_path)
+    sc = parse_config(_write_config(tmp_path, "h_km = 600\nr_hat_km = 0\n"))
+    out = cmd_curve(sc, tmp_path, "cdf", sc.n_users)
     assert out.name == "cdf.csv"
     data = _load_curve(out)
     assert data.shape == (512, 2)
@@ -153,41 +152,82 @@ def test_cmd_cdf_curve(tmp_path):
 
 
 def test_cmd_pdf_curve_integrates_to_one(tmp_path):
-    rc = parse_config(_write_config(tmp_path, "h_km = 600\nr_hat_km = 0\n"))
-    data = _load_curve(cmd_pdf(rc, tmp_path))
+    sc = parse_config(_write_config(tmp_path, "h_km = 600\nr_hat_km = 0\n"))
+    data = _load_curve(cmd_curve(sc, tmp_path, "pdf", sc.n_users))
     assert data.shape == (512, 2)
     assert np.all(data[:, 1] >= 0.0)
     assert np.trapezoid(data[:, 1], data[:, 0]) == pytest.approx(1.0, abs=5e-3)
 
 
 def test_cmd_order_stats_single_equals_cdf(tmp_path):
-    rc = default_run_config()
-    cdf_path = cmd_cdf(rc, tmp_path)
-    single_path = cmd_order_stats(rc, tmp_path, "single", 8)
+    sc = default_config()
+    cdf_path = cmd_curve(sc, tmp_path, "cdf", 8)
+    single_path = cmd_curve(sc, tmp_path, "single", 8)
     assert single_path.name == "order_stats_single_n8.csv"
     assert single_path.read_bytes() == cdf_path.read_bytes()
 
 
 def test_cmd_order_stats_min_max(tmp_path):
-    rc = default_run_config()
-    min_curve = _load_curve(cmd_order_stats(rc, tmp_path, "min", 4))
-    max_curve = _load_curve(cmd_order_stats(rc, tmp_path, "max", 4))
-    single = _load_curve(cmd_cdf(rc, tmp_path))
+    sc = default_config()
+    min_curve = _load_curve(cmd_curve(sc, tmp_path, "min", 4))
+    max_curve = _load_curve(cmd_curve(sc, tmp_path, "max", 4))
+    single = _load_curve(cmd_curve(sc, tmp_path, "cdf", 4))
     assert np.all(min_curve[:, 1] >= single[:, 1] - 1e-14)
     assert np.all(max_curve[:, 1] <= single[:, 1] + 1e-14)
 
 
 def test_cmd_order_stats_validation(tmp_path):
-    rc = default_run_config()
+    sc = default_config()
     with pytest.raises(ConfigValidationError):
-        cmd_order_stats(rc, tmp_path, "median", 4)
+        cmd_curve(sc, tmp_path, "median", 4)
     with pytest.raises(ConfigValidationError):
-        cmd_order_stats(rc, tmp_path, "min", 0)
+        cmd_curve(sc, tmp_path, "min", 0)
+    with pytest.raises(ConfigValidationError):
+        cmd_curve(sc, tmp_path, "single", 0)
+
+
+# SHA-256 of each curve file, captured before cdf, pdf and order-stats were
+# merged into one curve writer. The benchmark's reference pins only the
+# default config and --which max.
+_CURVE_GOLDENS = {
+    "h_km = 1200\nrho_km = 150\nfc_ghz = 20\ngrid_points = 300\n": {
+        "cdf.csv": "dc0f6fb2e7959adfb4ed157713c616ca7838ff9af1fa3f1fac97ae98ca7ba307",
+        "pdf.csv": "0b9cde61c21c527d942df5a05848262e92180c91cae6a26fc969a681319b73c4",
+        "order_stats_single_n5.csv":
+            "dc0f6fb2e7959adfb4ed157713c616ca7838ff9af1fa3f1fac97ae98ca7ba307",
+        "order_stats_min_n5.csv":
+            "867b231d683578c7c60e02a41d63f49a23d94389193a2b511f93e0c09433b417",
+        "order_stats_max_n5.csv":
+            "278ddd807a169ca21c4d3604671762771c7a1548d421692e8a8e062aa3834000",
+    },
+    "h_km = 600\nr_hat_km = 0\n": {
+        "cdf.csv": "7fd97f0473e748810bb1a7bf0d94703ccefd661f26b25ec01f68a2d576b5f06c",
+        "pdf.csv": "259ff1cabb7ffd97d2a7ac054d607e2cbbc5fdc2fa46789ba904de0c29efe7c1",
+        "order_stats_single_n5.csv":
+            "7fd97f0473e748810bb1a7bf0d94703ccefd661f26b25ec01f68a2d576b5f06c",
+        "order_stats_min_n5.csv":
+            "c4dfcb51a720b76ebe94f7af54037617ba5dcbb3bcd3237e375d92f57cb83443",
+        "order_stats_max_n5.csv":
+            "3d9f4da7d1efed2511ba6a76f7812ee5ce8c42fc68f08bf963df38796643e206",
+    },
+}
+
+
+@pytest.mark.parametrize("text", list(_CURVE_GOLDENS))
+def test_curve_commands_match_golden_hashes(tmp_path, capsys, text):
+    cfg = _write_config(tmp_path, text)
+    commands = [["cdf"], ["pdf"]] + [
+        ["order-stats", "--which", which, "--n", "5"] for which in ("single", "min", "max")
+    ]
+    for command in commands:
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    written = [Path(line) for line in capsys.readouterr().out.splitlines()]
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+    assert hashes == _CURVE_GOLDENS[text]
 
 
 def test_cmd_simulate_outputs(tmp_path):
-    rc = default_run_config()
-    csv_path, summary_path = cmd_simulate(rc, tmp_path)
+    csv_path, summary_path = cmd_simulate(default_config(), tmp_path)
     assert csv_path.name == "simulate_report.csv"
     assert summary_path.name == "simulate_summary.txt"
     data = _load_curve(csv_path)
@@ -202,11 +242,11 @@ def test_cmd_simulate_outputs(tmp_path):
 
 
 def test_cmd_simulate_reruns_byte_identical(tmp_path):
-    rc = default_run_config()
+    sc = default_config()
     d1, d2 = tmp_path / "one", tmp_path / "two"
     d1.mkdir(), d2.mkdir()
-    first = cmd_simulate(rc, d1)
-    second = cmd_simulate(rc, d2, threads=4)
+    first = cmd_simulate(sc, d1)
+    second = cmd_simulate(sc, d2, threads=4)
     for a, b in zip(first, second):
         assert a.read_bytes() == b.read_bytes()
 
@@ -214,7 +254,7 @@ def test_cmd_simulate_reruns_byte_identical(tmp_path):
 # -------------------------------------------------------------- figures ----
 
 def test_figure_scenarios_fig2():
-    pairs = figure_scenarios("fig2", default_run_config())
+    pairs = figure_scenarios("fig2", default_config())
     assert [label for label, _ in pairs] == [
         "fig2_rho050km", "fig2_rho100km", "fig2_rho150km",
     ]
@@ -225,7 +265,7 @@ def test_figure_scenarios_fig2():
 
 
 def test_figure_scenarios_fig3():
-    pairs = figure_scenarios("fig3", default_run_config())
+    pairs = figure_scenarios("fig3", default_config())
     assert [label for label, _ in pairs] == [
         "fig3_rhat000km", "fig3_rhat100km", "fig3_rhat200km", "fig3_rhat300km",
     ]
@@ -233,7 +273,7 @@ def test_figure_scenarios_fig3():
 
 
 def test_figure_scenarios_fig4():
-    pairs = figure_scenarios("fig4", default_run_config())
+    pairs = figure_scenarios("fig4", default_config())
     assert [label for label, _ in pairs] == [
         "fig4_h0600km_rho100km", "fig4_h0600km_rho200km",
         "fig4_h1200km_rho100km", "fig4_h1200km_rho200km",
@@ -243,14 +283,14 @@ def test_figure_scenarios_fig4():
 
 def test_figure_scenarios_rejects_unknown_preset():
     with pytest.raises(ConfigValidationError):
-        figure_scenarios("fig9", default_run_config())
+        figure_scenarios("fig9", default_config())
 
 
 def test_cmd_figure_shares_one_grid(tmp_path):
-    rc = parse_config(
+    sc = parse_config(
         _write_config(tmp_path, "h_km = 600\ntrials = 50\ngrid_points = 128\n")
     )
-    written = cmd_figure("fig3", rc, tmp_path)
+    written = cmd_figure("fig3", sc, tmp_path)
     csvs = [p for p in written if p.suffix == ".csv"]
     assert len(csvs) == 4 and len(written) == 8
     curves = [_load_curve(p) for p in csvs]
@@ -301,6 +341,7 @@ def test_main_validation_error_exit_code(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["cdf", "pdf", "order-stats", "simulate"])
 @pytest.mark.parametrize(
     "line, message",
     [
@@ -314,10 +355,12 @@ def test_main_validation_error_exit_code(tmp_path, capsys):
     ],
 )
 def test_main_rejects_oversized_and_non_finite_values(
-    tmp_path, capsys, no_sampling, line, message
+    tmp_path, capsys, no_sampling, line, message, command
 ):
+    # Every command checks the one config type, so the curve commands reject
+    # what simulate rejects.
     cfg = _write_config(tmp_path, f"h_km = 600\n{line}\n")
-    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
 

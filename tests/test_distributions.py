@@ -504,6 +504,10 @@ def test_order_stats_reject_bad_cluster_size():
         min_doppler_cdf(1e3, dist, 0)
     with pytest.raises(ValueError):
         max_doppler_cdf(1e3, dist, -3)
+    for law in (min_doppler_cdf, min_doppler_pdf, max_doppler_cdf, max_doppler_pdf):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="cluster size n"):
+                law(1e3, dist, bad)
 
 
 def test_single_user_law_takes_no_cluster_size():

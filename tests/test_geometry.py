@@ -11,6 +11,9 @@ import math
 import numpy as np
 import pytest
 
+from leodoppler import montecarlo
+from leodoppler.distributions import DopplerMagnitudeDistribution, _magnitude_at_distance
+from leodoppler.doppler import PassGeometry, doppler_exact
 from leodoppler.geometry import (
     EARTH_RADIUS_M,
     BelowHorizonError,
@@ -21,9 +24,7 @@ from leodoppler.geometry import (
     central_angle,
     clamp_unit,
     elevation_from_central_angle,
-    elevation_planar_approx,
     orbital_radius,
-    plane_to_sphere,
     slant_range,
 )
 
@@ -199,14 +200,20 @@ def test_elevation_matches_cosine_relation():
 
 # ----------------------------------------------------- flat-earth cosine ----
 
+def _planar_cos(z: float, cfg: SatelliteConfig) -> float:
+    """Flat-earth cos(elevation) r_o z / (r_E sqrt(h^2 + z^2)) at planar
+    distance z, which is (r_o / r_E) x / A for the envelope magnitude x
+    that distributions._magnitude_at_distance gives at z."""
+    dist = DopplerMagnitudeDistribution.for_satellite(cfg, 1.0, 0.0)
+    return orbital_radius(cfg) / cfg.r_e * float(_magnitude_at_distance(z, dist)) / dist.a
+
+
 def test_planar_elevation_frozen_value():
-    assert elevation_planar_approx(100e3, CFG600) == pytest.approx(
-        0.17988154771710024, rel=1e-12
-    )
+    assert _planar_cos(100e3, CFG600) == pytest.approx(0.17988154771710024, rel=1e-12)
 
 
 def test_planar_elevation_zero_distance_overhead():
-    assert elevation_planar_approx(0.0, CFG600) == 0.0
+    assert _planar_cos(0.0, CFG600) == 0.0
 
 
 def test_planar_elevation_unit_cosine_distance():
@@ -214,12 +221,7 @@ def test_planar_elevation_unit_cosine_distance():
     r_o = orbital_radius(CFG600)
     z_star = CFG600.r_e * CFG600.h / math.sqrt(r_o**2 - CFG600.r_e**2)
     assert z_star == pytest.approx(1351054.1696060945, rel=1e-12)
-    assert elevation_planar_approx(z_star, CFG600) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_planar_elevation_rejects_negative_distance():
-    with pytest.raises(ValueError):
-        elevation_planar_approx(-1.0, CFG600)
+    assert _planar_cos(z_star, CFG600) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_flat_earth_agreement_regime():
@@ -228,38 +230,66 @@ def test_flat_earth_agreement_regime():
     # grows to ~1.4e-2 by gamma = 0.08 rad (still < 1.5e-2).
     for gamma in np.linspace(1e-4, 0.025, 40):
         exact = math.cos(elevation_from_central_angle(float(gamma), CFG600))
-        approx = elevation_planar_approx(CFG600.r_e * float(gamma), CFG600)
+        approx = _planar_cos(CFG600.r_e * float(gamma), CFG600)
         assert abs(exact - approx) <= 1e-3
     for gamma in np.linspace(0.025, 0.08, 40):
         exact = math.cos(elevation_from_central_angle(float(gamma), CFG600))
-        approx = elevation_planar_approx(CFG600.r_e * float(gamma), CFG600)
+        approx = _planar_cos(CFG600.r_e * float(gamma), CFG600)
         assert abs(exact - approx) <= 1.5e-2
 
 
 # --------------------------------------------------------- plane mapping ----
+# montecarlo._batch_magnitudes maps the tangent plane to the sphere inline:
+# a user's along-track (x) and cross-track (y) offsets to the sub-satellite
+# point become the angles x / r_E and y / r_E.
+
+def _mapped_users(u_angle, rho: float, r_hat: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact magnitudes and planar distances that _batch_magnitudes gives
+    users on the rim of the disk at the given angle fractions (quarter
+    turns land exactly on the axes), sub-satellite point at (r_hat, 0)."""
+    sc = montecarlo.ScenarioConfig(
+        cfg=CFG600, rho=rho, r_hat=r_hat, n_users=1, trials=1, seed=0
+    )
+    rows = {}
+    n = len(u_angle)
+    montecarlo._batch_magnitudes(
+        sc, np.ones(n), np.array(u_angle, dtype=float),
+        lambda row, values, z: rows.setdefault(row, (values.copy(), z.copy())),
+        np.empty((6, n)),
+    )
+    return rows[0][0], rows[1][1]
+
+
+def _pass_shift(psi: float, beta: float, cfg: SatelliteConfig) -> float:
+    """|Exact shift| at along-track angle psi on the pass whose closest
+    approach has cross-track angle beta."""
+    geometry = PassGeometry(elevation_from_central_angle(beta, cfg), 0.0, math.cos(beta))
+    return abs(doppler_exact(psi / angular_velocity_ecf(cfg), geometry, cfg))
+
 
 def test_plane_to_sphere_axis_points():
-    beta, psi = plane_to_sphere(PlanarPoint(100e3, 0.0), CFG600)
-    assert beta == 0.0
-    assert psi == pytest.approx(100e3 / EARTH_RADIUS_M, rel=1e-15)
-    beta, psi = plane_to_sphere(PlanarPoint(0.0, -50e3), CFG600)
-    assert beta == pytest.approx(-50e3 / EARTH_RADIUS_M, rel=1e-15)
-    assert psi == 0.0
+    # Sub-satellite point at the cluster centre: users on the x axis see the
+    # on-track pass at central angle rho / r_E, users on the y axis sit at
+    # closest approach, where the shift is zero.
+    rho = 100e3
+    exact, z = _mapped_users([0.0, 0.25, 0.5, 0.75], rho, r_hat=0.0)
+    on_track = _pass_shift(rho / EARTH_RADIUS_M, 0.0, CFG600)
+    assert on_track > 0.0
+    assert exact == pytest.approx([on_track, 0.0, on_track, 0.0], rel=1e-12, abs=0.0)
+    assert np.array_equal(z, [rho] * 4)
 
 
 def test_plane_to_sphere_central_angle_composition():
-    # cos(gamma) = cos(beta) cos(psi) stays within 1e-6 rad of |p| / r_E
-    # for |p| = 100 km; the residual is the spherical excess only.
-    p = PlanarPoint(60e3, 80e3)
-    beta, psi = plane_to_sphere(p, CFG600)
-    gamma = math.acos(math.cos(beta) * math.cos(psi))
-    assert abs(gamma - math.hypot(p.x, p.y) / CFG600.r_e) < 1e-6
-
-
-def test_plane_to_sphere_rejects_far_points():
-    far = math.pi * CFG600.r_e / 4.0 + 1.0
-    with pytest.raises(ValueError):
-        plane_to_sphere(PlanarPoint(far, 0.0), CFG600)
+    # A user 60 km along track and 80 km across it from the sub-satellite
+    # point sees the pass with cross-track angle beta = 80 km / r_E at phase
+    # psi = 60 km / r_E. cos(gamma) = cos(beta) cos(psi) stays within 1e-6
+    # rad of the planar 100 km / r_E; the residual is the spherical excess.
+    exact, z = _mapped_users([0.25], rho=80e3, r_hat=60e3)
+    psi, beta = 60e3 / CFG600.r_e, 80e3 / CFG600.r_e
+    assert exact[0] == pytest.approx(_pass_shift(psi, beta, CFG600), rel=1e-12)
+    assert z[0] == 100e3
+    gamma = central_angle(psi / angular_velocity_ecf(CFG600), math.cos(beta), CFG600)
+    assert abs(gamma - 100e3 / CFG600.r_e) < 1e-6
 
 
 def test_planar_point_rejects_non_finite():

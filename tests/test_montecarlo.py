@@ -178,7 +178,7 @@ def test_ks_distance_inverse_transform_sampling():
 # ------------------------------------------------------- full scenario ----
 
 def test_run_scenario_matches_analytic_law():
-    report = run_scenario(_scenario(trials=12_500), grid_points=512)
+    report = run_scenario(_scenario(trials=12_500, grid_points=512))
     n = 8 * 12_500
     assert report.excluded == 0
     assert report.dominance_violations == 0
@@ -189,7 +189,7 @@ def test_run_scenario_matches_analytic_law():
 
 
 def test_run_scenario_report_shapes_and_ranges():
-    report = run_scenario(_scenario(), grid_points=128)
+    report = run_scenario(_scenario(grid_points=128))
     assert isinstance(report, ComparisonReport)
     for column in (
         report.x_hz, report.cdf_analytic, report.cdf_emp_exact, report.cdf_emp_bound
@@ -204,7 +204,7 @@ def test_run_scenario_report_shapes_and_ranges():
 
 
 def test_run_scenario_grid_top_override():
-    report = run_scenario(_scenario(), grid_points=64, x_max=30e3)
+    report = run_scenario(_scenario(grid_points=64), x_max=30e3)
     assert report.x_hz[-1] == 30e3
 
 
@@ -213,7 +213,7 @@ def test_run_scenario_cross_track_scene():
     # so exact shifts collapse while the envelope law, which depends only
     # on planar distance, is unchanged.
     report = run_scenario(
-        _scenario(trials=12_500, cluster_center_on_track=False), grid_points=256
+        _scenario(trials=12_500, cluster_center_on_track=False, grid_points=256)
     )
     assert report.excluded == 0
     assert report.dominance_violations == 0
@@ -222,7 +222,7 @@ def test_run_scenario_cross_track_scene():
 
 
 def test_run_scenario_counts_horizon_exclusions():
-    report = run_scenario(_scenario(r_hat=2.65e6, trials=500, seed=3), grid_points=64)
+    report = run_scenario(_scenario(r_hat=2.65e6, trials=500, seed=3, grid_points=64))
     assert 0 < report.excluded < 8 * 500
 
 
@@ -233,7 +233,7 @@ def test_run_scenario_raises_when_nothing_visible():
 
 def test_run_scenario_deterministic_across_runs_and_threads():
     reports = [
-        run_scenario(_scenario(), threads=t, grid_points=128) for t in (1, 1, 4)
+        run_scenario(_scenario(grid_points=128), threads=t) for t in (1, 1, 4)
     ]
     base = reports[0]
     for other in reports[1:]:
@@ -246,16 +246,14 @@ def test_run_scenario_deterministic_across_runs_and_threads():
 
 
 def test_run_scenario_seed_changes_samples():
-    r1 = run_scenario(_scenario(seed=1), grid_points=64)
-    r2 = run_scenario(_scenario(seed=2), grid_points=64)
+    r1 = run_scenario(_scenario(seed=1, grid_points=64))
+    r2 = run_scenario(_scenario(seed=2, grid_points=64))
     assert not np.array_equal(r1.cdf_emp_exact, r2.cdf_emp_exact)
 
 
 def test_run_scenario_validation():
     with pytest.raises(ValueError):
         run_scenario(_scenario(), threads=0)
-    with pytest.raises(ValueError):
-        run_scenario(_scenario(), grid_points=1)
 
 
 def test_scenario_config_validation():
@@ -271,16 +269,24 @@ def test_scenario_config_validation():
         _scenario(seed=-1)
     with pytest.raises(ValueError):
         _scenario(seed=2**64)
+    with pytest.raises(ValueError):
+        _scenario(grid_points=1)
 
 
 def test_scenario_config_rejects_non_finite_and_oversized_counts():
-    for key in ("n_users", "trials", "seed"):
+    for key in ("n_users", "trials", "seed", "grid_points"):
         for bad in (math.inf, -math.inf, math.nan, 2.5):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=key):
                 _scenario(**{key: bad})
     with pytest.raises(ValueError, match="at most"):
         _scenario(n_users=10**5, trials=10**5)
     _scenario(n_users=10**3, trials=10**6)
+    # Whole floats are accepted and stored as ints, which the sampler needs.
+    whole = _scenario(n_users=8.0, trials=10.0, seed=1.0, grid_points=64.0)
+    assert whole == _scenario(n_users=8, trials=10, seed=1, grid_points=64)
+    assert all(type(getattr(whole, key)) is int for key in ("n_users", "trials", "seed"))
+    a, b = run_scenario(whole), run_scenario(_scenario(trials=10, grid_points=64))
+    assert np.array_equal(a.cdf_emp_exact, b.cdf_emp_exact) and a.ks_exact == b.ks_exact
 
 
 def test_scenario_config_enforces_tangent_plane_radius():
@@ -291,15 +297,17 @@ def test_scenario_config_enforces_tangent_plane_radius():
 
 
 def test_run_scenario_caps_grid_before_sampling(no_sampling):
-    with pytest.raises(ValueError, match="grid"):
-        run_scenario(_scenario(), grid_points=MAX_GRID_POINTS + 1)
+    # The cap is a ScenarioConfig check, so no run starts with too large a grid.
+    _scenario(grid_points=MAX_GRID_POINTS)
+    with pytest.raises(ValueError, match="grid_points must be 2 to 1000000"):
+        run_scenario(_scenario(grid_points=MAX_GRID_POINTS + 1))
 
 
 def test_run_scenario_caps_threads_at_chunk_count(pool_sizes):
-    sc = _scenario(trials=10)
-    report = run_scenario(sc, threads=10**6, grid_points=64)
+    sc = _scenario(trials=10, grid_points=64)
+    report = run_scenario(sc, threads=10**6)
     assert pool_sizes == [10]
-    single = run_scenario(sc, threads=1, grid_points=64)
+    single = run_scenario(sc, threads=1)
     assert pool_sizes == [10]
     assert np.array_equal(report.cdf_emp_exact, single.cdf_emp_exact)
     assert report.ks_exact == single.ks_exact
@@ -398,8 +406,8 @@ def test_edge_index_equals_searchsorted(r_hat, grid_top):
     ],
 )
 def test_grid_columns_equal_exact_empirical_cdf(overrides):
-    sc = _scenario(**overrides)
-    report = run_scenario(sc, threads=2, grid_points=256)
+    sc = _scenario(**overrides, grid_points=256)
+    report = run_scenario(sc, threads=2)
     exact, bound, excluded = _reference_samples(sc)
     assert report.excluded == excluded
     grid = report.x_hz
@@ -417,8 +425,8 @@ def test_grid_columns_equal_exact_empirical_cdf(overrides):
     ],
 )
 def test_reported_ks_brackets_exact_statistic(overrides, x_max):
-    sc = _scenario(**overrides)
-    report = run_scenario(sc, grid_points=128, x_max=x_max)
+    sc = _scenario(**overrides, grid_points=128)
+    report = run_scenario(sc, x_max=x_max)
     dist = DopplerMagnitudeDistribution.for_satellite(sc.cfg, sc.rho, sc.r_hat)
     edges = montecarlo._ks_edges(dist, sc.n_users * sc.trials)
     law_at_edges = doppler_cdf(edges, dist)
@@ -447,14 +455,14 @@ def test_report_equals_reference_built_from_samples(
 ):
     sc = _scenario(
         rho=rho, r_hat=r_hat, n_users=n_users, trials=trials, seed=11,
-        cluster_center_on_track=on_track,
+        cluster_center_on_track=on_track, grid_points=grid_points,
     )
     exact, bound, excluded = _reference_samples(sc)
     if exact.size == 0:
         with pytest.raises(ValueError, match="below horizon"):
-            run_scenario(sc, threads=threads, grid_points=grid_points, x_max=x_max)
+            run_scenario(sc, threads=threads, x_max=x_max)
         return
-    report = run_scenario(sc, threads=threads, grid_points=grid_points, x_max=x_max)
+    report = run_scenario(sc, threads=threads, x_max=x_max)
     assert report.excluded == excluded
     dist = DopplerMagnitudeDistribution.for_satellite(sc.cfg, sc.rho, sc.r_hat)
     ks_edges = montecarlo._ks_edges(dist, n_users * trials)
@@ -487,7 +495,7 @@ def test_peak_memory_flat_in_trial_count():
 # ------------------------------------------------------------- output ----
 
 def test_report_csv_and_summary_files(tmp_path):
-    report = run_scenario(_scenario(), grid_points=64)
+    report = run_scenario(_scenario(grid_points=64))
     csv_path = tmp_path / "report.csv"
     txt_path = tmp_path / "summary.txt"
     write_report_csv(report, csv_path)
@@ -509,7 +517,7 @@ def test_report_csv_and_summary_files(tmp_path):
 def test_report_files_are_byte_stable(tmp_path):
     paths = []
     for tag, threads in (("a", 1), ("b", 4)):
-        report = run_scenario(_scenario(), threads=threads, grid_points=64)
+        report = run_scenario(_scenario(grid_points=64), threads=threads)
         p = tmp_path / f"{tag}.csv"
         write_report_csv(report, p)
         paths.append(p)

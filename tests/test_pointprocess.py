@@ -88,6 +88,9 @@ def test_disk_sampling_validation():
         sample_uniform_disk(ORIGIN, 0.0, 10, rng)
     with pytest.raises(ValueError):
         sample_uniform_disk(ORIGIN, 1e5, 0, rng)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="user count n"):
+            sample_uniform_disk(ORIGIN, 1e5, bad, rng)
 
 
 def _disk_map(u_radius, u_angle, rho: float) -> tuple[np.ndarray, np.ndarray]:
@@ -218,6 +221,9 @@ def test_cell_model_validation():
         CellModel(r_cell=1e4, lambda_c=1e-7, rho=2e4, n=4)
     with pytest.raises(ValueError):
         CellModel(r_cell=1e4, lambda_c=1e-7, rho=1e3, n=0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="users per cluster n"):
+            CellModel(r_cell=1e4, lambda_c=1e-7, rho=1e3, n=bad)
 
 
 # ------------------------------------------------------------- helpers ----
