@@ -63,7 +63,6 @@ _DEFAULTS = {
     "n_users": 8,
     "trials": 1250,
     "seed": 1,
-    "grid_points": 512,
 }
 
 # Curve statistic -> (file name pattern, law of (grid, distribution, n)).
@@ -155,9 +154,10 @@ def _resolve(values: dict[str, float]) -> ScenarioConfig:
             )
         merged["omega_s_rad_s"] = _OMEGA_S_BY_H_KM[h_km]
     merged.setdefault("r_hat_km", 2.0 * merged["rho_km"])
-    for key in _INT_KEYS:
-        if not _integral(merged[key]):
-            raise ConfigValidationError(f"{key} must be an integer, got {merged[key]}")
+    counts = {key: merged[key] for key in _INT_KEYS if key in merged}
+    for key, value in counts.items():
+        if not _integral(value):
+            raise ConfigValidationError(f"{key} must be an integer, got {value}")
     try:
         satellite = SatelliteConfig(
             f_c=merged["fc_ghz"] * 1e9,
@@ -171,7 +171,7 @@ def _resolve(values: dict[str, float]) -> ScenarioConfig:
             cfg=satellite,
             rho=merged["rho_km"] * 1e3,
             r_hat=merged["r_hat_km"] * 1e3,
-            **{key: merged[key] for key in _INT_KEYS},
+            **counts,
         )
     except ValueError as exc:
         raise ConfigValidationError(str(exc)) from exc
