@@ -20,12 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SatelliteConfig, _integral, angular_velocity_ecf, orbital_radius
-
-# Largest disk radius or offset accepted, in metres. Every square and
-# product the disk law forms then stays below about 5e300, short of the
-# float64 overflow at 1.8e308.
-MAX_DISK_SCALE_M = 1e150
+from .geometry import (
+    MAX_DOPPLER_SCALE_HZ,
+    MIN_DOPPLER_SCALE_HZ,
+    SatelliteConfig,
+    _check_length,
+    _check_range,
+    _integral,
+    param_A,
+)
 
 _QUANTILE_TOL_HZ = 1e-6
 # Bisection halves the bracket until it is at most max(1e-6 Hz, two float
@@ -39,24 +42,17 @@ class DiskDistanceDistribution:
     """Distance from a uniform point in a disk to a fixed external point.
 
     Attributes:
-        radius: Disk radius in metres (> 0, at most MAX_DISK_SCALE_M).
-        offset: Distance of the fixed point from the disk centre, metres
-            (>= 0, at most MAX_DISK_SCALE_M).
+        radius: Disk radius in metres, in [MIN_LENGTH_M, MAX_LENGTH_M].
+        offset: Distance of the fixed point from the disk centre, metres,
+            in [0, MAX_LENGTH_M].
     """
 
     radius: float
     offset: float
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"disk radius must be positive, got {self.radius}")
-        if not (self.offset >= 0.0 and math.isfinite(self.offset)):
-            raise ValueError(f"offset must be nonnegative, got {self.offset}")
-        if max(self.radius, self.offset) > MAX_DISK_SCALE_M:
-            raise ValueError(
-                f"disk radius and offset must be at most {MAX_DISK_SCALE_M:g} m, "
-                f"got {self.radius} and {self.offset}"
-            )
+        _check_length("disk radius", self.radius)
+        _check_length("offset", self.offset, lo=0.0)
 
 
 def _eval_points(x) -> tuple[np.ndarray, bool]:
@@ -130,26 +126,18 @@ def disk_distance_pdf(r, d: DiskDistanceDistribution):
     return _scalar_or_array(out, scalar)
 
 
-def param_A(cfg: SatelliteConfig) -> float:
-    """Doppler scale A = f_c * r_o * omega_F / c in Hz.
-
-    The magnitude of any user's shift approaches A as the slant path
-    flattens; every supported magnitude stays strictly below it.
-    """
-    return cfg.f_c * orbital_radius(cfg) * angular_velocity_ecf(cfg) / cfg.c
-
-
 @dataclass(frozen=True)
 class DopplerMagnitudeDistribution:
     """Law of the Doppler magnitude for one uniformly placed cluster user.
 
     Attributes:
-        a: Doppler scale A in Hz (> 0).
-        h: Satellite altitude in metres (> 0).
-        rho: Cluster disk radius in metres (> 0).
+        a: Doppler scale A in Hz, in [MIN_DOPPLER_SCALE_HZ,
+            MAX_DOPPLER_SCALE_HZ].
+        h: Satellite altitude in metres, in [MIN_LENGTH_M, MAX_LENGTH_M].
+        rho: Cluster disk radius in metres, in [MIN_LENGTH_M, MAX_LENGTH_M].
         r_hat: Planar distance of the sub-satellite point from the cluster
-            centre, metres (>= 0). Canonical parameter; construction from a
-            slant range converts to it.
+            centre, metres, in [0, MAX_LENGTH_M]. Canonical parameter;
+            construction from a slant range converts to it.
     """
 
     a: float
@@ -158,14 +146,10 @@ class DopplerMagnitudeDistribution:
     r_hat: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError(f"Doppler scale must be positive, got {self.a}")
-        if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise ValueError(f"altitude must be positive, got {self.h}")
-        if not (self.rho > 0.0 and math.isfinite(self.rho)):
-            raise ValueError(f"cluster radius must be positive, got {self.rho}")
-        if not (self.r_hat >= 0.0 and math.isfinite(self.r_hat)):
-            raise ValueError(f"centre offset must be nonnegative, got {self.r_hat}")
+        _check_range("Doppler scale A", self.a, MIN_DOPPLER_SCALE_HZ, MAX_DOPPLER_SCALE_HZ, "Hz")
+        _check_length("altitude", self.h)
+        _check_length("cluster radius", self.rho)
+        _check_length("centre offset", self.r_hat, lo=0.0)
 
     @classmethod
     def for_satellite(
@@ -372,5 +356,6 @@ def overhead_pdf(x, dist: DopplerMagnitudeDistribution):
     out = np.zeros_like(xx)
     below = xx < doppler_support_max(dist)
     xb = xx[below]
-    out[below] = (2.0 * dist.a**2 * dist.h**2 / dist.rho**2) * xb / (dist.a**2 - xb**2) ** 2
+    # Grouped so that no factor overflows anywhere in the accepted scales.
+    out[below] = 2.0 * (dist.h / dist.rho) ** 2 * xb * (dist.a / (dist.a**2 - xb**2)) ** 2
     return _scalar_or_array(out, scalar)

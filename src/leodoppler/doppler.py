@@ -16,6 +16,7 @@ import numpy as np
 
 from .geometry import (
     SatelliteConfig,
+    _pass_phase,
     angular_velocity_ecf,
     clamp_unit,
     orbital_radius,
@@ -77,7 +78,7 @@ def gamma_dot(dt: float, theta: float, cfg: SatelliteConfig) -> float:
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"Theta must lie in (0, 1], got {theta}")
     omega_f = angular_velocity_ecf(cfg)
-    phase = dt * omega_f
+    phase = _pass_phase(dt, cfg)
     sin_phase = math.sin(phase)
     if theta == 1.0:
         if sin_phase == 0.0:
@@ -104,7 +105,7 @@ def doppler_exact(dt: float, pass_geometry: PassGeometry, cfg: SatelliteConfig) 
     approaches (dt < 0), zero at closest approach.
     """
     s = slant_range(dt, pass_geometry.theta, cfg)
-    return float(_shift(dt * angular_velocity_ecf(cfg), pass_geometry.theta, s, cfg))
+    return float(_shift(_pass_phase(dt, cfg), pass_geometry.theta, s, cfg))
 
 
 def doppler_bound(alpha_t: float, cfg: SatelliteConfig) -> float:

@@ -1,9 +1,10 @@
 """Orbital and spherical-Earth geometry for a circular-orbit LEO satellite.
 
 Everything here is deterministic geometry: orbital radius, the relative
-angular velocity seen from the rotating Earth, slant range, horizon test,
-central angle and elevation. Clustered users are placed on the sphere by
-arc length about the cluster centre, inline in the Monte Carlo layer.
+angular velocity seen from the rotating Earth, the Doppler scale A, slant
+range, horizon test, central angle and elevation. Clustered users are
+placed on the sphere by arc length about the cluster centre, inline in the
+Monte Carlo layer.
 
 Units are strictly SI (metres, radians, seconds, hertz) at every interface.
 """
@@ -25,6 +26,15 @@ EARTH_ANGULAR_VELOCITY_RAD_S = 7.27e-5
 # floating-point noise and clamped; anything further out is a domain error.
 INVERSE_TRIG_CLAMP_TOL = 1e-12
 
+# Accepted lengths (altitude, Earth radius, cluster radius and offset) in
+# metres and Doppler scales A in Hz. Squared lengths then stay in [1e-6,
+# 5e300] and A^4 in [1e-200, 1e200], so every law is finite from the
+# smallest accepted scene to the largest.
+MIN_LENGTH_M = 1e-3
+MAX_LENGTH_M = 1e150
+MIN_DOPPLER_SCALE_HZ = 1e-50
+MAX_DOPPLER_SCALE_HZ = 1e50
+
 
 def _integral(value) -> bool:
     """True for a finite number without a fractional part."""
@@ -32,6 +42,16 @@ def _integral(value) -> bool:
         return int(value) == value
     except (OverflowError, TypeError, ValueError):
         return False
+
+
+def _check_range(name: str, value: float, lo: float, hi: float, unit: str) -> None:
+    """Raise ValueError unless lo <= value <= hi (NaN included)."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be at least {lo:g} and at most {hi:g} {unit}, got {value}")
+
+
+def _check_length(name: str, value: float, lo: float = MIN_LENGTH_M) -> None:
+    _check_range(name, value, lo, MAX_LENGTH_M, "m")
 
 
 class BelowHorizonError(Exception):
@@ -84,18 +104,19 @@ class SatelliteConfig:
     def __post_init__(self) -> None:
         if not (self.f_c > 0.0 and math.isfinite(self.f_c)):
             raise ValueError(f"carrier frequency must be positive, got {self.f_c}")
-        if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise ValueError(f"altitude must be positive, got {self.h}")
+        _check_length("altitude", self.h)
         if not (self.omega_s > 0.0 and math.isfinite(self.omega_s)):
             raise ValueError(f"orbital angular velocity must be positive, got {self.omega_s}")
         if not (self.omega_e >= 0.0 and math.isfinite(self.omega_e)):
             raise ValueError(f"Earth rotation rate must be nonnegative, got {self.omega_e}")
         if not (0.0 <= self.theta_i <= math.pi):
             raise ValueError(f"inclination must lie in [0, pi], got {self.theta_i}")
-        if not (self.r_e > 0.0 and math.isfinite(self.r_e)):
-            raise ValueError(f"Earth radius must be positive, got {self.r_e}")
+        _check_length("Earth radius", self.r_e)
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise ValueError(f"propagation speed must be positive, got {self.c}")
+        _check_range(
+            "Doppler scale A", param_A(self), MIN_DOPPLER_SCALE_HZ, MAX_DOPPLER_SCALE_HZ, "Hz"
+        )
 
 
 @dataclass(frozen=True)
@@ -122,6 +143,23 @@ def angular_velocity_ecf(cfg: SatelliteConfig) -> float:
     approximated by omega_s + omega_e * cos(theta_i).
     """
     return cfg.omega_s + cfg.omega_e * math.cos(cfg.theta_i)
+
+
+def param_A(cfg: SatelliteConfig) -> float:
+    """Doppler scale A = f_c * r_o * omega_F / c in Hz.
+
+    The magnitude of any user's shift approaches A as the slant path
+    flattens; every supported magnitude stays strictly below it.
+    """
+    return cfg.f_c * orbital_radius(cfg) * angular_velocity_ecf(cfg) / cfg.c
+
+
+def _pass_phase(dt: float, cfg: SatelliteConfig) -> float:
+    """Along-track phase dt * omega_F at time offset dt from peak elevation."""
+    phase = dt * angular_velocity_ecf(cfg)
+    if not math.isfinite(phase):
+        raise ValueError(f"time offset dt must give a finite phase dt * omega_F, got dt = {dt}")
+    return phase
 
 
 def _validate_theta(theta: float) -> float:
@@ -158,13 +196,13 @@ def slant_range(dt: float, theta: float, cfg: SatelliteConfig) -> float:
         (theta = 1) and never exceeds r_E + r_o.
     """
     theta = _validate_theta(theta)
-    return float(_slant_of_cos(math.cos(dt * angular_velocity_ecf(cfg)) * theta, cfg))
+    return float(_slant_of_cos(math.cos(_pass_phase(dt, cfg)) * theta, cfg))
 
 
 def central_angle(dt: float, theta: float, cfg: SatelliteConfig) -> float:
     """Earth-centre angle between user and sub-satellite point at offset dt."""
     theta = _validate_theta(theta)
-    return math.acos(clamp_unit(math.cos(dt * angular_velocity_ecf(cfg)) * theta))
+    return math.acos(clamp_unit(math.cos(_pass_phase(dt, cfg)) * theta))
 
 
 def elevation_from_central_angle(gamma: float, cfg: SatelliteConfig) -> float:

@@ -11,19 +11,20 @@ quantifies both Monte Carlo agreement and the envelope's pessimism.
 
 Sampling is split into fixed chunks with independent child seeds; each
 worker thread takes every k-th chunk. A worker draws its chunks' users in
-batches of at most 2^16 and reduces each batch at once to integer counts of
-samples at or below a fixed set of edges: the report grid plus up to 2^16
-edges spread evenly in planar distance over the cluster. Both edge families
-are evenly spaced in a known coordinate (the grid in Hz, the KS edges in
-distance), so each sample's bin is guessed in O(1) and then checked against
+batches of at most 2^16 and counts each batch at once into the bins of up
+to 2^16 KS edges, spread evenly in planar distance over the cluster; a
+sample whose KS bin is mixed (holds a grid point strictly inside) is also
+counted in its report grid bin. Both families are evenly spaced in a known
+coordinate (distance, Hz), so a bin is guessed in O(1) and checked against
 the edges on either side; only samples that fail the check are searched
 for. An envelope sample's KS bin is guessed from the user's own distance,
 an exact one's from the distance at which the envelope takes its value.
-Integer sums do not depend on their order, so results are identical for
-any worker count, and memory is O(edges + batch) whatever the number of
-users. The grid columns are exact. The KS distances are upper bounds
-computed from the counts and the analytic CDF at the edges; each exceeds
-the exact statistic by at most one bin's probability mass.
+Once per run, each grid column is the unmixed KS bins up to the grid point
+plus the mixed bins' grid counts up to it. Integer sums do not depend on
+their order, so results are identical for any worker count, and memory is
+O(edges + batch) whatever the number of users. The grid columns are exact.
+The KS distances are upper bounds from the counts and the analytic CDF at
+the edges, above the exact statistic by at most one bin's mass.
 
 Users' positions come from the disk map shared with pointprocess, and
 their distances to the sub-satellite point are sqrt(x^2 + y^2). Against
@@ -81,7 +82,7 @@ class ScenarioConfig:
 
     Attributes:
         cfg: Satellite description.
-        rho: Cluster disk radius in metres (> 0).
+        rho: Cluster disk radius in metres, in [MIN_LENGTH_M, MAX_LENGTH_M].
         r_hat: Planar distance from cluster centre to sub-satellite point
             (>= 0); rho + r_hat may not exceed the tangent-plane validity
             radius pi * r_E / 4.
@@ -106,10 +107,8 @@ class ScenarioConfig:
     grid_points: int = 512
 
     def __post_init__(self) -> None:
-        if not (self.rho > 0.0 and math.isfinite(self.rho)):
-            raise ValueError(f"cluster radius must be positive, got {self.rho}")
-        if not (self.r_hat >= 0.0 and math.isfinite(self.r_hat)):
-            raise ValueError(f"centre offset must be nonnegative, got {self.r_hat}")
+        # The law's own checks bound rho and r_hat (and A, via cfg).
+        DopplerMagnitudeDistribution.for_satellite(self.cfg, self.rho, self.r_hat)
         limit = math.pi * self.cfg.r_e / 4.0
         if self.rho + self.r_hat > limit:
             raise ValueError(
@@ -150,8 +149,7 @@ class EmpiricalCdf:
 
     @classmethod
     def from_samples(cls, values) -> "EmpiricalCdf":
-        arr = np.sort(np.asarray(values, dtype=float))
-        return cls(arr)
+        return cls(np.sort(np.asarray(values, dtype=float)))
 
     def evaluate(self, x):
         """Fraction of samples <= x; accepts scalars or arrays."""
@@ -328,88 +326,43 @@ def _ks_edges(dist: DopplerMagnitudeDistribution, users: int) -> np.ndarray:
     return np.sort(_magnitude_at_distance(z, dist, out=z))
 
 
-def _slot_guess(t: np.ndarray, top: int, out: np.ndarray) -> None:
-    """Write ceil(t) clipped to [0, top] into the integer array out; NaN
-    goes to 0. Overwrites t."""
-    np.ceil(t, out=t)
-    np.fmax(t, 0.0, out=t)
-    np.fmin(t, top, out=t)
-    np.copyto(out, t, casting="unsafe")
-
-
 class _EdgeIndex:
-    """Bin index of values among the report grid and the KS edges.
+    """Bin index of values among one sorted family of edges.
 
-    index(values, z, whole) equals np.searchsorted(edges, values,
-    side="left") for every float, NaN and +-inf included, where edges is the
-    sorted union of the two families. KS bin j is (ks[j-1], ks[j]] with ks
-    padded by -inf and +inf. A value's KS bin is guessed from z, the planar
-    distance at which the envelope takes that value, and kept only if the
-    edges on either side bracket the value; z may be off by rounding, or be
-    any float at all, without changing the result. If no grid point lies
-    inside that bin, the merged index is base[j] = j + (grid points at or
-    below ks[j-1]). Otherwise the value's grid slot k is guessed from its
-    Hz value, checked the same way, and the merged index is j + k. Values
-    that fail either check are searched for.
+    index(values, c, out) equals np.searchsorted(edges, values, side="left")
+    for every float, NaN and +-inf included: bin j is (edges[j-1], edges[j]]
+    with the edges padded by -inf and +inf. The edges are spread evenly in
+    a coordinate c, from c_lo at the first edge to c_hi at the last, and
+    each value comes with its own c. The bin is guessed as
+    ceil((c - c_lo) * scale) clipped to [0, edges.size] and kept only if
+    the edges on either side bracket the value; c may be off by rounding,
+    or be any float at all, without changing the result. Values that fail
+    the check are searched for.
     """
 
-    def __init__(
-        self, grid: np.ndarray, ks: np.ndarray, dist: DopplerMagnitudeDistribution
-    ) -> None:
-        self.edges = np.sort(np.concatenate((grid, ks)))
-        self._z_lo, z_hi = _ks_span(dist)
-        sorted_grid = np.sort(grid)
+    def __init__(self, edges: np.ndarray, c_lo: float, c_hi: float) -> None:
+        self.edges = edges
+        self._padded = np.concatenate(([-np.inf], edges, [np.inf]))
+        self._c_lo = c_lo
         with np.errstate(all="ignore"):
-            self._ks_scale = np.float64(ks.size - 1) / (z_hi - self._z_lo)
-            self._grid_scale = np.float64(grid.size - 1) / grid[-1]
-        self._ks = np.concatenate(([-np.inf], ks, [np.inf]))
-        self._grid = np.concatenate(([-np.inf], sorted_grid, [np.inf]))
-        at_or_below = np.searchsorted(sorted_grid, self._ks, side="right")
-        below = np.searchsorted(sorted_grid, self._ks, side="left")
-        self._base = np.arange(ks.size + 1) + at_or_below[:-1]
-        self._mixed = below[1:] > at_or_below[:-1]
+            self._scale = np.float64(edges.size - 1) / (c_hi - c_lo)
 
-    def __call__(self, values: np.ndarray, z: np.ndarray, whole: np.ndarray) -> np.ndarray:
-        """Merged indices of values, returned in a row of whole.
+    def __call__(self, values: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Bin indices of values in out[:values.size]; c is overwritten.
 
-        z (n floats) and whole (2 rows of >= n intp) are overwritten.
-        The slot guesses are clipped into their tables, so mode="clip" in the
-        lookups below never changes an index; it lets np.take write into out
-        without a temporary copy.
+        The guesses lie inside the padded edges, so mode="clip" never changes
+        an index; it lets np.take write into c without a temporary copy.
         """
-        j, out = (row[: values.size] for row in whole)
+        j = out[: values.size]
         with np.errstate(all="ignore"):
-            z -= self._z_lo
-            z *= self._ks_scale
-        _slot_guess(z, self._ks.size - 2, j)
-        hit = np.take(self._ks, j, out=z, mode="clip") < values
-        hit &= values <= np.take(self._ks[1:], j, out=z, mode="clip")
-        todo = ~hit
-        todo |= np.take(self._mixed, j)
-        if todo.all():
-            # All mixed, as when every value lies below the first KS edge.
-            return self._mixed_bins(values, j, hit, z, out)
-        np.take(self._base, j, out=out, mode="clip")
-        rest = np.flatnonzero(todo)
-        if rest.size:
-            out[rest] = self._mixed_bins(
-                values[rest], j[rest], hit[rest], z[: rest.size], np.empty_like(rest)
-            )
-        return out
-
-    def _mixed_bins(
-        self, values: np.ndarray, j: np.ndarray, hit: np.ndarray, u: np.ndarray, k: np.ndarray
-    ) -> np.ndarray:
-        """Merged indices of values whose KS bin j is mixed or unchecked.
-
-        Overwrites u, k and hit, and returns the indices in j.
-        """
-        with np.errstate(all="ignore"):
-            np.multiply(values, self._grid_scale, out=u)
-        _slot_guess(u, self._grid.size - 2, k)
-        hit &= np.take(self._grid, k, out=u, mode="clip") < values
-        hit &= values <= np.take(self._grid[1:], k, out=u, mode="clip")
-        j += k
+            c -= self._c_lo
+            c *= self._scale
+        np.ceil(c, out=c)
+        np.fmax(c, 0.0, out=c)
+        np.fmin(c, self.edges.size, out=c)
+        np.copyto(j, c, casting="unsafe")
+        hit = np.take(self._padded, j, out=c, mode="clip") < values
+        hit &= values <= np.take(self._padded[1:], j, out=c, mode="clip")
         miss = np.flatnonzero(~hit)
         if miss.size:
             j[miss] = np.searchsorted(self.edges, values[miss], side="left")
@@ -417,30 +370,39 @@ class _EdgeIndex:
 
 
 def _count_chunks(
-    scenario: ScenarioConfig, index: _EdgeIndex, jobs: list
-) -> tuple[np.ndarray, int]:
-    """Bin counts (exact row, envelope row) and exclusions over some chunks.
-
-    acc[row, j] counts the values in (edges[j-1], edges[j]]; the last slot
-    holds the values above every edge.
-    """
-    acc = np.zeros((2, index.edges.size + 1), dtype=np.int64)
+    scenario: ScenarioConfig, ks: _EdgeIndex, grid: _EdgeIndex, mixed: np.ndarray, jobs: list
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per-bin counts of the KS edges and, for values in mixed KS bins, of the
+    grid (rows: exact, envelope), and the exclusions, over some chunks."""
+    ks_acc = np.zeros((2, ks.edges.size + 1), dtype=np.int64)
+    grid_acc = np.zeros((2, grid.edges.size + 1), dtype=np.int64)
     # One batch's arrays, reused by every batch. Allocated afresh per batch,
     # glibc handed them back to the OS after each batch and faulted them in
     # again on the next: 5e4-1e5 page faults and 0.2-0.4 s of system time
     # per 1e7 users on 2 threads.
     size = _batch_size(jobs, scenario.n_users)
-    real = np.empty((6, size))
-    whole = np.empty((2, size), dtype=np.intp)
+    real = np.empty((7, size))
+    bins = np.empty(size, dtype=np.intp)
 
     def add_counts(row: int, values: np.ndarray, z: np.ndarray) -> None:
-        counts = np.bincount(index(values, z, whole))
-        acc[row, : counts.size] += counts
+        j = ks(values, z, bins)
+        counts = np.bincount(j)
+        ks_acc[row, : counts.size] += counts
+        inside = np.take(mixed, j)
+        n_mixed = np.count_nonzero(inside)
+        if n_mixed:
+            # The mixed values in real[6], and a copy in z (free again) that
+            # the grid index overwrites with their guesses.
+            v = np.compress(inside, values, out=real[6, :n_mixed])
+            c = z[:n_mixed]
+            np.copyto(c, v)
+            counts = np.bincount(grid(v, c, bins))
+            grid_acc[row, : counts.size] += counts
 
     excluded = 0
     for u_radius, u_angle in _uniform_batches(jobs, scenario.n_users):
-        excluded += _batch_magnitudes(scenario, u_radius, u_angle, add_counts, real)
-    return acc, excluded
+        excluded += _batch_magnitudes(scenario, u_radius, u_angle, add_counts, real[:6])
+    return ks_acc, grid_acc, excluded
 
 
 def _ks_upper(cum: np.ndarray, n: int, cdf: np.ndarray) -> float:
@@ -472,8 +434,10 @@ def run_scenario(
     Returns:
         ComparisonReport with per-grid CDF columns and summary statistics.
     """
-    if threads < 1:
-        raise ValueError(f"thread count must be positive, got {threads}")
+    if not (_integral(threads) and threads >= 1):
+        raise ValueError(f"thread count must be a positive integer, got {threads}")
+    if x_max is not None and not math.isfinite(x_max):
+        raise ValueError(f"x_max must be finite, got {x_max}")
     dist = DopplerMagnitudeDistribution.for_satellite(
         scenario.cfg, scenario.rho, scenario.r_hat
     )
@@ -482,52 +446,56 @@ def run_scenario(
     cdf_analytic = np.asarray(doppler_cdf(grid, dist))
     users = scenario.n_users * scenario.trials
     ks_edges = _ks_edges(dist, users)
-    index = _EdgeIndex(grid, ks_edges, dist)
-    edges = index.edges
+    ks_index = _EdgeIndex(ks_edges, *_ks_span(dist))
+    grid_index = _EdgeIndex(grid, 0.0, grid_top)
+    # KS bin j is mixed when a grid point lies strictly inside it.
+    padded = ks_index._padded
+    mixed = np.searchsorted(grid, padded[1:]) > np.searchsorted(grid, padded[:-1], "right")
 
     jobs = _chunk_jobs(scenario)
-    workers = min(threads, len(jobs))
+    workers = min(int(threads), len(jobs))
     if workers == 1:
-        parts = [_count_chunks(scenario, index, jobs)]
+        parts = [_count_chunks(scenario, ks_index, grid_index, mixed, jobs)]
     else:
         # Imported here: concurrent.futures pulls in logging, about 10 ms
         # of start-up that the single-curve CLI commands never need.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda w: _count_chunks(scenario, index, jobs[w::workers]),
-                    range(workers),
-                )
-            )
-    # The bin tables and the per-worker counts are each as large as the
-    # edges; free them before the CDF pass at the KS edges below.
-    del index
-    cum, excluded = parts.pop(0)
-    for acc, hidden in parts:
-        cum += acc
+            parts = list(pool.map(
+                lambda w: _count_chunks(scenario, ks_index, grid_index, mixed, jobs[w::workers]),
+                range(workers),
+            ))
+    ks_counts, grid_counts, excluded = parts.pop(0)
+    for ks_acc, grid_acc, hidden in parts:
+        ks_counts += ks_acc
+        grid_counts += grid_acc
         excluded += hidden
     del parts
-    np.cumsum(cum, axis=1, out=cum)
     if excluded == users:
         raise ValueError("satellite below horizon for every sampled user")
     n = users - excluded
-    cum_exact, cum_bound = cum
-    at_grid = np.searchsorted(edges, grid)
-    at_ks = np.searchsorted(edges, ks_edges)
+    # Samples at or below grid point g: the unmixed KS bins' up to the last
+    # KS edge <= g (below[:, i] sums those before bin i) plus the grid
+    # counts up to g. Tables as large as the KS edges go before the CDF pass.
+    below = np.zeros((2, ks_edges.size + 2), dtype=np.int64)
+    np.multiply(ks_counts, ~mixed, out=below[:, 1:])
+    np.cumsum(below, axis=1, out=below)
+    cum_grid = below[:, np.searchsorted(ks_edges, grid, "right")]
+    cum_grid += np.cumsum(grid_counts[:, :-1], axis=1)
+    del below, ks_index
+    cum_ks = np.cumsum(ks_counts, axis=1, out=ks_counts)[:, :-1]
     ks_cdf = np.asarray(doppler_cdf(ks_edges, dist))
-    cdf_emp_exact = cum_exact[at_grid] / n
-    cdf_emp_bound = cum_bound[at_grid] / n
+    cdf_emp_exact = cum_grid[0] / n
     gate = 3.0 * np.sqrt(cdf_analytic * (1.0 - cdf_analytic) / n)
     violations = int(np.sum(cdf_analytic > cdf_emp_exact + gate))
     return ComparisonReport(
         x_hz=grid,
         cdf_analytic=cdf_analytic,
         cdf_emp_exact=cdf_emp_exact,
-        cdf_emp_bound=cdf_emp_bound,
-        ks_bound=_ks_upper(cum_bound[at_ks], n, ks_cdf),
-        ks_exact=_ks_upper(cum_exact[at_ks], n, ks_cdf),
+        cdf_emp_bound=cum_grid[1] / n,
+        ks_bound=_ks_upper(cum_ks[1], n, ks_cdf),
+        ks_exact=_ks_upper(cum_ks[0], n, ks_cdf),
         dominance_violations=violations,
         excluded=excluded,
     )

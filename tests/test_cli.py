@@ -352,6 +352,12 @@ def test_main_validation_error_exit_code(tmp_path, capsys):
         ("seed = inf", "seed must be an integer, got inf"),
         ("grid_points = 1e7", "grid_points must be 2 to 1000000"),
         ("r_hat_km = 5000", "tangent-plane validity radius"),
+        # Scales at which the laws would overflow, or underflow to NaN.
+        ("fc_ghz = 1e150", "Doppler scale A must be at least"),
+        ("h_km = 1e200\nomega_s_rad_s = 1e-3", "altitude must be at least"),
+        ("h_km = 1e152\nomega_s_rad_s = 1e-3", "altitude must be at least"),
+        ("r_e_km = 1e152", "Earth radius must be at least"),
+        ("rho_km = 1e-300", "cluster radius must be at least"),
     ],
 )
 def test_main_rejects_oversized_and_non_finite_values(
@@ -359,7 +365,8 @@ def test_main_rejects_oversized_and_non_finite_values(
 ):
     # Every command checks the one config type, so the curve commands reject
     # what simulate rejects.
-    cfg = _write_config(tmp_path, f"h_km = 600\n{line}\n")
+    text = line if line.startswith("h_km") else f"h_km = 600\n{line}"
+    cfg = _write_config(tmp_path, f"{text}\n")
     code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
@@ -384,7 +391,8 @@ def test_main_io_error_exit_code(tmp_path, capsys):
 
 _FUZZ_VALUES = st.sampled_from([
     "nan", "-nan", "inf", "-inf", "+inf", "0", "-0", "0.0", "-0.0", "1e308", "-1e308",
-    "5e-324", "-5e-324", "1", "2", "8", "600", "1200", "100", "1e3", "-1",
+    "5e-324", "-5e-324", "1", "2", "8", "600", "1200", "100", "1e3", "-1", "1e150", "1e200",
+    "1e-300",
     "abc", "", "1,5", "0x10", "1_000", "nan(1)", "infinity", "= 3", "#",
 ])
 _FUZZ_KEYS = st.sampled_from(sorted(VALID_KEYS)) | st.sampled_from(

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from leodoppler.distributions import (
-    MAX_DISK_SCALE_M,
     DiskDistanceDistribution,
     DopplerMagnitudeDistribution,
     _magnitude_at_distance,
@@ -38,7 +37,7 @@ from leodoppler.distributions import (
     overhead_pdf,
     param_A,
 )
-from leodoppler.geometry import SatelliteConfig
+from leodoppler.geometry import MAX_LENGTH_M, SatelliteConfig
 
 CFG600 = SatelliteConfig(f_c=2e9, h=600e3, omega_s=1.1e-3)
 CFG1200 = SatelliteConfig(f_c=2e9, h=1200e3, omega_s=9.5809e-4)
@@ -248,8 +247,8 @@ def test_disk_distribution_rejects_scales_that_would_overflow(radius, offset):
 
 
 def test_disk_law_holds_at_the_largest_accepted_scale():
-    d = DiskDistanceDistribution(MAX_DISK_SCALE_M, MAX_DISK_SCALE_M)
-    r = np.array([0.0, 0.5, 1.0, 1.5, 2.0]) * MAX_DISK_SCALE_M
+    d = DiskDistanceDistribution(MAX_LENGTH_M, MAX_LENGTH_M)
+    r = np.array([0.0, 0.5, 1.0, 1.5, 2.0]) * MAX_LENGTH_M
     f = disk_distance_cdf(r, d)
     assert np.all(np.diff(f) >= 0.0)
     assert f[0] == 0.0 and f[-1] == 1.0

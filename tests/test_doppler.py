@@ -288,3 +288,11 @@ def test_pass_geometry_validation():
         PassGeometry(alpha_max=-0.1, t_alpha_max=0.0, theta=0.95)
     with pytest.raises(ValueError):
         PassGeometry(alpha_max=0.5, t_alpha_max=0.0, theta=1.2)
+    # A non-finite time offset is rejected by name, not turned into NaN.
+    pg = PassGeometry.from_max_elevation(0.7, CFG600)
+    for dt in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="time offset dt"):
+            doppler_exact(dt, pg, CFG600)
+        for theta in (0.9, 1.0):
+            with pytest.raises(ValueError, match="time offset dt"):
+                gamma_dot(dt, theta, CFG600)

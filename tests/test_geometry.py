@@ -132,6 +132,11 @@ def test_slant_range_rejects_bad_theta():
         slant_range(0.0, 1.5, CFG600)
     with pytest.raises(ValueError):
         slant_range(0.0, -0.2, CFG600)
+    # A non-finite time offset is rejected by name, not turned into NaN.
+    for dt in (math.nan, math.inf, -math.inf):
+        for law in (slant_range, central_angle):
+            with pytest.raises(ValueError, match="time offset dt"):
+                law(dt, 0.9, CFG600)
 
 
 # ---------------------------------------------------------- central angle ----

@@ -251,9 +251,16 @@ def test_run_scenario_seed_changes_samples():
     assert not np.array_equal(r1.cdf_emp_exact, r2.cdf_emp_exact)
 
 
-def test_run_scenario_validation():
+def test_run_scenario_validation(no_sampling):
     with pytest.raises(ValueError):
         run_scenario(_scenario(), threads=0)
+    # Both arguments are checked by name before any table is built.
+    for threads in (math.nan, math.inf, 1.5):
+        with pytest.raises(ValueError, match="thread count"):
+            run_scenario(_scenario(), threads=threads)
+    for x_max in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="x_max must be finite"):
+            run_scenario(_scenario(), x_max=x_max)
 
 
 def test_scenario_config_validation():
@@ -350,6 +357,16 @@ def test_batches_reproduce_one_generator_per_chunk():
     assert np.array_equal(np.concatenate([a for _, a in batches]), np.concatenate(angle))
 
 
+def _probes(edges: np.ndarray, a: float) -> np.ndarray:
+    """Every edge, its float neighbours, and the awkward floats."""
+    return np.concatenate((
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        [0.0, -0.0, a, np.nextafter(a, 0.0), 2.0 * a, 5e-324, np.inf, -np.inf, np.nan],
+    ))
+
+
 @pytest.mark.parametrize("r_hat", [200e3, 0.0, 2.65e6])
 @pytest.mark.parametrize("grid_top", [None, 30e3, 1e3])
 def test_edge_index_equals_searchsorted(r_hat, grid_top):
@@ -357,28 +374,34 @@ def test_edge_index_equals_searchsorted(r_hat, grid_top):
     top = doppler_support_max(dist) if grid_top is None else grid_top
     grid = np.linspace(0.0, top, 512)
     ks = montecarlo._ks_edges(dist, 10**7)
-    index = montecarlo._EdgeIndex(grid, ks, dist)
-    edges = index.edges
+    z_lo, z_hi = montecarlo._ks_span(dist)
+    ks_index = montecarlo._EdgeIndex(ks, z_lo, z_hi)
+    grid_index = montecarlo._EdgeIndex(grid, 0.0, top)
     a = dist.a
-    values = np.concatenate((
-        edges,
-        np.nextafter(edges, -np.inf),
-        np.nextafter(edges, np.inf),
-        [0.0, -0.0, a, np.nextafter(a, 0.0), 2.0 * a, 5e-324, np.inf, -np.inf, np.nan],
-    ))
+    rng = np.random.default_rng(0)
 
-    def lookup(v, z):
-        return index(v, z, np.empty((2, v.size), dtype=np.intp))
+    def lookup(index, v, c):
+        return index(v, c, np.empty(v.size, dtype=np.intp))
 
-    expected = np.searchsorted(edges, values, side="left")
-    # The exact row guesses from the distance at which the envelope takes
-    # each value.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z = _distance_of_magnitude(values, dist)
-    assert np.array_equal(lookup(values, z), expected)
+    for index, edges in ((ks_index, ks), (grid_index, grid)):
+        values = _probes(edges, a)
+        expected = np.searchsorted(edges, values, side="left")
+        # The exact row guesses its KS bin from the distance at which the
+        # envelope takes each value; the grid guesses from the value itself.
+        if index is ks_index:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                c = _distance_of_magnitude(values, dist)
+        else:
+            c = values.copy()
+        assert np.array_equal(lookup(index, values, c), expected)
+        # Any coordinate at all, however wrong, leaves the result unchanged.
+        junk = np.concatenate((
+            rng.uniform(-2.0 * z_hi, 3.0 * z_hi, values.size - 4),
+            [np.nan, np.inf, -np.inf, -0.0],
+        ))
+        assert np.array_equal(lookup(index, values, junk), expected)
     # The envelope row guesses from each user's own distance: here the KS
     # distances, their float neighbours, and distances past both ends.
-    z_lo, z_hi = montecarlo._ks_span(dist)
     z_ks = np.linspace(z_lo, z_hi, ks.size)
     z = np.concatenate((
         z_ks, np.nextafter(z_ks, -np.inf), np.nextafter(z_ks, np.inf),
@@ -386,14 +409,24 @@ def test_edge_index_equals_searchsorted(r_hat, grid_top):
     ))
     z = z[z >= 0.0]
     envelope = _magnitude_at_distance(z, dist)
-    got = lookup(envelope, z.copy())
-    assert np.array_equal(got, np.searchsorted(edges, envelope, side="left"))
-    # Any distance at all, however wrong, leaves the result unchanged.
-    rng = np.random.default_rng(0)
-    junk = np.concatenate((
-        rng.uniform(-z_hi, 3.0 * z_hi, values.size - 4), [np.nan, np.inf, -np.inf, -0.0]
-    ))
-    assert np.array_equal(lookup(values, junk), expected)
+    got = lookup(ks_index, envelope, z.copy())
+    assert np.array_equal(got, np.searchsorted(ks, envelope, side="left"))
+
+
+@pytest.mark.parametrize("on_track", [True, False])
+def test_grid_top_on_a_ks_edge_matches_reference(on_track):
+    # The grid's top is the upper edge of a KS bin that holds a sample, so
+    # a grid point ties with a KS edge and the bin below it counts in full.
+    sc = _scenario(grid_points=97, cluster_center_on_track=on_track)
+    dist = DopplerMagnitudeDistribution.for_satellite(sc.cfg, sc.rho, sc.r_hat)
+    ks = montecarlo._ks_edges(dist, sc.n_users * sc.trials)
+    exact, bound, _ = _reference_samples(sc)
+    for samples in (exact, bound):
+        top = float(ks[np.searchsorted(ks, np.median(samples))])
+        report = run_scenario(sc, x_max=top)
+        assert report.x_hz[-1] == top
+        for column, row in ((report.cdf_emp_exact, exact), (report.cdf_emp_bound, bound)):
+            assert np.array_equal(column, EmpiricalCdf.from_samples(row).evaluate(report.x_hz))
 
 
 @pytest.mark.parametrize(
