@@ -164,13 +164,10 @@ class DopplerMagnitudeDistribution:
     ) -> "DopplerMagnitudeDistribution":
         """Build from the slant range to the cluster centre.
 
-        The planar offset is recovered as sqrt(s_t^2 - h^2); s_t must be at
-        least the altitude.
+        The planar offset is recovered as sqrt(s_t^2 - h^2); s_t must lie
+        between the altitude and MAX_LENGTH_M, so its square is finite.
         """
-        if s_t < cfg.h:
-            raise ValueError(
-                f"slant range {s_t} m is shorter than the altitude {cfg.h} m"
-            )
+        _check_length("slant range", s_t, lo=cfg.h)
         return cls(param_A(cfg), cfg.h, rho, math.sqrt(s_t**2 - cfg.h**2))
 
     def _disk(self) -> DiskDistanceDistribution:
@@ -189,7 +186,12 @@ class DopplerMagnitudeDistribution:
 def _magnitude_at_distance(z, dist: DopplerMagnitudeDistribution, out=None, work=None):
     """Envelope magnitude A z / sqrt(h^2 + z^2) at planar distance z >= 0;
     out (may be z) receives the result and work sqrt(h^2 + z^2)."""
-    slant = np.hypot(dist.h, z, out=work)
+    # Not np.hypot, which takes about three times as long as np.sqrt.
+    # Lengths are at most MAX_LENGTH_M and z at most r_hat + rho, so
+    # z^2 + h^2 stays below about 5e300.
+    slant = np.square(z, out=work)
+    slant = np.add(slant, dist.h * dist.h, out=work)
+    slant = np.sqrt(slant, out=work)
     x = np.multiply(z, dist.a, out=out)
     return np.divide(x, slant, out=out)
 

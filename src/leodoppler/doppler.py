@@ -20,6 +20,7 @@ from .geometry import (
     angular_velocity_ecf,
     clamp_unit,
     orbital_radius,
+    param_A,
     slant_range,
 )
 
@@ -87,13 +88,13 @@ def gamma_dot(dt: float, theta: float, cfg: SatelliteConfig) -> float:
     return omega_f * theta * sin_phase / math.sqrt(1.0 - theta**2 * math.cos(phase) ** 2)
 
 
-def _shift(phase, theta, slant, cfg: SatelliteConfig, out=None):
-    """Exact shift -(f_c / c) r_E r_o omega_F sin(phase) theta / slant in Hz
-    (Ali, Al-Dhahir & Hershey, IEEE Trans. Commun. 46(3), 1998): phase =
-    dt * omega_F, theta = cos(cross-track angle); out may be phase."""
-    k = -(cfg.f_c / cfg.c) * cfg.r_e * orbital_radius(cfg) * angular_velocity_ecf(cfg)
-    chi = np.sin(phase, out=out)
-    chi = np.multiply(chi, k, out=out)
+def _shift(sin_phase, theta, slant, cfg: SatelliteConfig, out=None):
+    """Exact shift -A r_E sin(phase) theta / slant in Hz, A = f_c r_o omega_F
+    / c (Ali, Al-Dhahir & Hershey, IEEE Trans. Commun. 46(3), 1998):
+    sin_phase = sin(dt * omega_F), theta = cos(cross-track angle); out may
+    be sin_phase. A is bounded by the config, so A r_E cannot overflow."""
+    k = -param_A(cfg) * cfg.r_e
+    chi = np.multiply(sin_phase, k, out=out)
     chi = np.multiply(chi, theta, out=out)
     return np.divide(chi, slant, out=out)
 
@@ -105,7 +106,7 @@ def doppler_exact(dt: float, pass_geometry: PassGeometry, cfg: SatelliteConfig) 
     approaches (dt < 0), zero at closest approach.
     """
     s = slant_range(dt, pass_geometry.theta, cfg)
-    return float(_shift(_pass_phase(dt, cfg), pass_geometry.theta, s, cfg))
+    return float(_shift(np.sin(_pass_phase(dt, cfg)), pass_geometry.theta, s, cfg))
 
 
 def doppler_bound(alpha_t: float, cfg: SatelliteConfig) -> float:

@@ -27,9 +27,14 @@ The KS distances are upper bounds from the counts and the analytic CDF at
 the edges, above the exact statistic by at most one bin's mass.
 
 Users' positions come from the disk map shared with pointprocess, and
-their distances to the sub-satellite point are sqrt(x^2 + y^2). Against
-cos/sin of the full angle and hypot, per-user magnitudes differ in the
-last bits only; every CLI output file stayed byte-identical.
+their distances to the sub-satellite point are sqrt(x^2 + y^2). A user
+costs three libm calls: the disk map's sine, the cosine of the
+cross-track angle and the sine of the along-track phase. The other
+cosines are sqrt(1 - sin^2), accurate because the quarter turn and the
+validity radius keep both angles within pi / 4, and the envelope's slant
+is sqrt(z^2 + h^2). Against cos/sin of the full angles and hypot,
+per-user magnitudes differ in the last bits only; every CLI output file
+stayed byte-identical.
 """
 from __future__ import annotations
 
@@ -289,7 +294,12 @@ def _batch_magnitudes(
     phase /= cfg.r_e
     theta /= cfg.r_e
     np.cos(theta, out=theta)
-    np.cos(phase, out=s)
+    sin_phase = np.sin(phase, out=phase)
+    # The validity radius keeps |phase| <= pi / 4, so cos(phase) >= 0.7 is
+    # sqrt(1 - sin^2) to rounding.
+    np.square(sin_phase, out=s)
+    np.subtract(1.0, s, out=s)
+    np.sqrt(s, out=s)
     s *= theta
     visible = _above_horizon(s, cfg, work=scratch)
     hidden = n - int(np.count_nonzero(visible))
@@ -297,7 +307,7 @@ def _batch_magnitudes(
         sink(1, bound[visible], z[visible])
     else:
         sink(1, bound, z)
-    chi = _shift(phase, theta, _slant_of_cos(s, cfg, out=s), cfg, out=phase)
+    chi = _shift(sin_phase, theta, _slant_of_cos(s, cfg, out=s), cfg, out=sin_phase)
     if hidden:
         chi = chi[visible]
     np.abs(chi, out=chi)
@@ -391,12 +401,13 @@ def _count_chunks(
         inside = np.take(mixed, j)
         n_mixed = np.count_nonzero(inside)
         if n_mixed:
-            # The mixed values in real[6], and a copy in z (free again) that
-            # the grid index overwrites with their guesses.
-            v = np.compress(inside, values, out=real[6, :n_mixed])
+            # The mixed values (in real[6] unless all are mixed), and a copy
+            # in z (free again) that the grid index overwrites with guesses.
+            if n_mixed < values.size:
+                values = np.compress(inside, values, out=real[6, :n_mixed])
             c = z[:n_mixed]
-            np.copyto(c, v)
-            counts = np.bincount(grid(v, c, bins))
+            np.copyto(c, values)
+            counts = np.bincount(grid(values, c, bins))
             grid_acc[row, : counts.size] += counts
 
     excluded = 0

@@ -6,10 +6,11 @@ it. Sampling is driven by a caller-supplied numpy Generator so that runs
 are reproducible bit for bit, and daughters falling outside the cell are
 kept (the serving geometry, not the cell boundary, decides relevance).
 
-The uniform-disk map reduces each angle to a quarter turn before cos and
-sin and turns the result back exactly, so the offsets differ from r (cos,
-sin)(2 pi u) of the full angle by at most about 7e-16 of the radius: the
-same draws give the same points up to the last bits.
+The uniform-disk map reduces each angle to a quarter turn, takes one sine
+there (the cosine follows by a square root) and turns the result back
+exactly, so the offsets differ from r (cos, sin)(2 pi u) of the full angle
+by at most about 8e-16 of the radius: the same draws give the same points
+up to the last bits.
 """
 from __future__ import annotations
 
@@ -71,13 +72,14 @@ def _disk_points(u_radius, u_angle, rho: float, x, y, work) -> None:
     are overwritten.
 
     The angle is first reduced to a quadrant: q = rint(4 u) and d = (4 u -
-    q) pi / 2, so |d| <= pi / 4 and 4 u - q is exact, which keeps cos and
-    sin on their short path. The offset is r (cos d, sin d) turned by q pi
-    / 2, whose coefficients a = cos(q pi / 2) and b = -sin(q pi / 2) lie in
-    {0, +-1}; with sign = +-1 and odd = q mod 2 they are a = sign (1 - odd)
-    and b = sign odd. The sign rides on r, and odd swaps the two
-    coordinates by exact arithmetic (each product is a copy or a zero), so
-    the points u in {0, 1/4, 1/2, 3/4} land exactly on the axes.
+    q) pi / 2, so |d| <= pi / 4 and 4 u - q is exact, which keeps sin on
+    its short path and cos d = sqrt(1 - sin^2 d) accurate. The offset is r
+    (cos d, sin d) turned by q pi / 2, whose coefficients a = cos(q pi / 2)
+    and b = -sin(q pi / 2) lie in {0, +-1}; with sign = +-1 and odd = q mod
+    2 they are a = sign (1 - odd) and b = sign odd. The sign rides on r,
+    and odd swaps the two coordinates by exact arithmetic (each product is
+    a copy or a zero), so the points u in {0, 1/4, 1/2, 3/4} land exactly
+    on the axes.
     """
     turns = np.multiply(u_angle, 4.0, out=x)
     q = np.rint(turns, out=u_angle)
@@ -97,7 +99,11 @@ def _disk_points(u_radius, u_angle, rho: float, x, y, work) -> None:
     np.abs(odd, out=odd)
     np.subtract(1.0, odd, out=odd)
     np.sin(d, out=y)
-    np.cos(d, out=x)
+    # |d| <= pi / 4 keeps cos d >= 0.7, so sqrt(1 - sin^2 d) gives it to
+    # rounding without a second libm call.
+    np.square(y, out=x)
+    np.subtract(1.0, x, out=x)
+    np.sqrt(x, out=x)
     x *= radii
     y *= radii
     # (x, y) becomes (x, y) where odd is 0 and (y, -x) where it is 1.

@@ -226,6 +226,57 @@ def test_curve_commands_match_golden_hashes(tmp_path, capsys, text):
     assert hashes == _CURVE_GOLDENS[text]
 
 
+# SHA-256 of each Monte Carlo report file on the same two configs, captured
+# before the per-user transform dropped its cos, hypot and second sine.
+# simulate writes the same files on one thread and on two.
+_REPORT_GOLDENS = {
+    "h_km = 1200\nrho_km = 150\nfc_ghz = 20\ngrid_points = 300\n": {
+        "simulate_report.csv":
+            "f72ed30d28040750ede6c000bd45a5cc8c2fed14df7cc96fb84e7db18fff9804",
+        "simulate_summary.txt":
+            "0f657fc60cd2a0c716e36b9ec9a0a8f8f654d088443788f32f753b02dc5dbe5e",
+        "fig2_rho050km.csv": "7ee764b155a631520092bb296e515583b2e83a8ecdea3c10d2751b3124f51aa3",
+        "fig2_rho050km_summary.txt":
+            "f2ede817117fce2270ac8458b0e55c26ad941a0eab3e65f3fed680578a926c6c",
+        "fig2_rho100km.csv": "69082b55e6572c71fdae7e5309fcab2a6a332a573a2fb8d806a7bff5dc58a4c3",
+        "fig2_rho100km_summary.txt":
+            "784dc18cf30c96465985baa348fae127192fa8a9399b632540ed69c94376897f",
+        "fig2_rho150km.csv": "0f44001fed9e08731189b1f76a91995321cb032be9556cb8d454fb51da10b416",
+        "fig2_rho150km_summary.txt":
+            "9323ec9ae0708e80017e28843d32c875f257df1e408553e9e2b5d87af5cf2dee",
+    },
+    "h_km = 600\nr_hat_km = 0\n": {
+        "simulate_report.csv":
+            "db109750582b3d5542716ad96b30ca6bec4afcc50e8ce259336a11f5a79ce393",
+        "simulate_summary.txt":
+            "a5b2af8769cd46f1118943217946305d0d6d2910f5ff0fc1367b4d52d4376d60",
+        "fig2_rho050km.csv": "cd05eb17f7596f346c82973ea5186bb22ad358f58fa99d567147a8ae7f6a15d0",
+        "fig2_rho050km_summary.txt":
+            "f2ede817117fce2270ac8458b0e55c26ad941a0eab3e65f3fed680578a926c6c",
+        "fig2_rho100km.csv": "3f1bf506a5b56e8886c52aa334755ec67c7eb4e99535d058130ad22aec314f60",
+        "fig2_rho100km_summary.txt":
+            "784dc18cf30c96465985baa348fae127192fa8a9399b632540ed69c94376897f",
+        "fig2_rho150km.csv": "0d94b325daf72da0534e27ab7f38678fe8fa8d4f642f36a23d761e3341102c96",
+        "fig2_rho150km_summary.txt":
+            "9323ec9ae0708e80017e28843d32c875f257df1e408553e9e2b5d87af5cf2dee",
+    },
+}
+
+
+@pytest.mark.parametrize("text", list(_REPORT_GOLDENS))
+def test_report_commands_match_golden_hashes(tmp_path, capsys, text):
+    cfg = _write_config(tmp_path, text)
+    commands = [["simulate"], ["simulate", "--threads", "2"], ["figure", "--preset", "fig2"]]
+    for i, command in enumerate(commands):
+        out = tmp_path / f"out{i}"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    written = [Path(line) for line in capsys.readouterr().out.splitlines()]
+    golden = _REPORT_GOLDENS[text]
+    assert len(written) == 2 + len(golden)
+    for p in written:
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == golden[p.name], p
+
+
 def test_cmd_simulate_outputs(tmp_path):
     csv_path, summary_path = cmd_simulate(default_config(), tmp_path)
     assert csv_path.name == "simulate_report.csv"

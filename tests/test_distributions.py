@@ -12,6 +12,7 @@ import math
 import threading
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,13 @@ from leodoppler.distributions import (
     overhead_pdf,
     param_A,
 )
-from leodoppler.geometry import MAX_LENGTH_M, SatelliteConfig
+from leodoppler.geometry import (
+    MAX_DOPPLER_SCALE_HZ,
+    MAX_LENGTH_M,
+    MIN_DOPPLER_SCALE_HZ,
+    MIN_LENGTH_M,
+    SatelliteConfig,
+)
 
 CFG600 = SatelliteConfig(f_c=2e9, h=600e3, omega_s=1.1e-3)
 CFG1200 = SatelliteConfig(f_c=2e9, h=1200e3, omega_s=9.5809e-4)
@@ -384,6 +391,39 @@ def test_magnitude_kernel_on_arrays_equals_support_max():
     assert np.array_equal(_magnitude_at_distance(far, dists[0]), scalar)
 
 
+def _ulps_from_reference(a: float, h: float, z: np.ndarray) -> float:
+    """Largest distance in ulps of _magnitude_at_distance from A z /
+    sqrt(h^2 + z^2) taken to 50 digits at the same float inputs."""
+    got = _magnitude_at_distance(z, DopplerMagnitudeDistribution(a, h, 1.0, 0.0))
+    worst = 0.0
+    with mpmath.workdps(50):
+        for value, zi in zip(got, z):
+            exact = mpmath.mpf(a) * zi / mpmath.sqrt(mpmath.mpf(h) ** 2 + mpmath.mpf(zi) ** 2)
+            ref = float(exact)
+            worst = max(worst, abs(value - ref) / math.ulp(ref) if ref else abs(value))
+    return worst
+
+
+def test_magnitude_kernel_is_within_four_ulps_at_paper_scale():
+    rng = np.random.default_rng(29)
+    for cfg in (CFG600, CFG1200):
+        z = np.concatenate(([0.0], rng.uniform(0.0, 400e3, 500)))
+        assert _ulps_from_reference(param_A(cfg), cfg.h, z) <= 4.0
+
+
+@pytest.mark.parametrize("a", [MIN_DOPPLER_SCALE_HZ, MAX_DOPPLER_SCALE_HZ])
+@pytest.mark.parametrize("h", [MIN_LENGTH_M, MAX_LENGTH_M])
+def test_magnitude_kernel_is_within_four_ulps_at_the_scale_bounds(a, h):
+    # Planar distances reach r_hat + rho, at most twice MAX_LENGTH_M.
+    rng = np.random.default_rng(31)
+    top = 2.0 * MAX_LENGTH_M
+    z = np.concatenate((
+        [0.0, MIN_LENGTH_M, 1.0, math.sqrt(MAX_LENGTH_M), MAX_LENGTH_M, top],
+        10.0 ** rng.uniform(math.log10(MIN_LENGTH_M), math.log10(top), 100),
+    ))
+    assert _ulps_from_reference(a, h, z) <= 4.0
+
+
 def test_support_min_zero_when_disk_covers_subsatellite_point():
     assert doppler_support_min(_dist600(100e3, 50e3)) == 0.0
     assert doppler_support_min(_dist600(100e3, 100e3)) == 0.0
@@ -618,6 +658,13 @@ def test_distribution_from_slant_range_at_altitude_is_overhead():
 def test_distribution_rejects_short_slant_range():
     with pytest.raises(ValueError):
         DopplerMagnitudeDistribution.from_slant_range(CFG600, 100e3, 599e3)
+
+
+@pytest.mark.parametrize("s_t", [1e200, math.inf, math.nan])
+def test_distribution_rejects_non_finite_and_oversized_slant_range(s_t):
+    # 1e200 used to overflow in s_t**2 with OverflowError.
+    with pytest.raises(ValueError, match="slant range"):
+        DopplerMagnitudeDistribution.from_slant_range(CFG600, 100e3, s_t)
 
 
 def test_distribution_field_validation():

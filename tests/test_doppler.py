@@ -8,6 +8,7 @@ difference of the slant range.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from leodoppler.geometry import (
     central_angle,
     elevation_from_central_angle,
     orbital_radius,
+    param_A,
     slant_range,
 )
 
@@ -132,7 +134,25 @@ def test_shift_kernel_on_arrays_equals_doppler_exact():
     theta = np.array([pg.theta for pg in passes])
     slant = np.array([slant_range(t, th, CFG600) for t, th in zip(dt, theta)])
     scalar = [doppler_exact(t, pg, CFG600) for t, pg in zip(dt, passes)]
-    assert np.array_equal(_shift(dt * W600, theta, slant, CFG600), scalar)
+    assert np.array_equal(_shift(np.sin(dt * W600), theta, slant, CFG600), scalar)
+
+
+def test_shift_stays_finite_for_a_huge_carrier_on_a_slow_orbit():
+    # f_c r_E r_o omega_F overflows here although A = 3.3e18 Hz is accepted;
+    # the kernel forms A r_E, at most 1e200 for any accepted config.
+    cfg = SatelliteConfig(f_c=1e297, h=600e3, r_e=1e10, omega_s=1e-280, omega_e=0.0)
+    a = param_A(cfg)
+    pg = PassGeometry.from_max_elevation(1.2, cfg)
+    dt = 0.01 / angular_velocity_ecf(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert doppler_exact(0.0, pg, cfg) == 0.0
+        shift = doppler_exact(dt, pg, cfg)
+        phase = dt * angular_velocity_ecf(cfg)
+        expected = -a * cfg.r_e * math.sin(phase) * pg.theta / slant_range(dt, pg.theta, cfg)
+    assert math.isfinite(shift)
+    assert shift == pytest.approx(expected, rel=1e-12)
+    assert -a < shift < 0.0
 
 
 def test_doppler_on_track_horizon_magnitude():

@@ -27,6 +27,7 @@ from leodoppler.geometry import (
     orbital_radius,
     slant_range,
 )
+from leodoppler.pointprocess import _disk_points
 
 CFG600 = SatelliteConfig(f_c=2e9, h=600e3, omega_s=1.1e-3)
 CFG1200 = SatelliteConfig(f_c=2e9, h=1200e3, omega_s=9.5809e-4)
@@ -248,12 +249,16 @@ def test_flat_earth_agreement_regime():
 # a user's along-track (x) and cross-track (y) offsets to the sub-satellite
 # point become the angles x / r_E and y / r_E.
 
-def _mapped_users(u_angle, rho: float, r_hat: float) -> tuple[np.ndarray, np.ndarray]:
+def _mapped_users(
+    u_angle, rho: float, r_hat: float, cfg: SatelliteConfig = CFG600, on_track: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact magnitudes and planar distances that _batch_magnitudes gives
     users on the rim of the disk at the given angle fractions (quarter
-    turns land exactly on the axes), sub-satellite point at (r_hat, 0)."""
+    turns land exactly on the axes), sub-satellite point at (r_hat, 0), or
+    at (0, r_hat) when not on_track."""
     sc = montecarlo.ScenarioConfig(
-        cfg=CFG600, rho=rho, r_hat=r_hat, n_users=1, trials=1, seed=0
+        cfg=cfg, rho=rho, r_hat=r_hat, n_users=1, trials=1, seed=0,
+        cluster_center_on_track=on_track,
     )
     rows = {}
     n = len(u_angle)
@@ -295,6 +300,30 @@ def test_plane_to_sphere_central_angle_composition():
     assert z[0] == 100e3
     gamma = central_angle(psi / angular_velocity_ecf(CFG600), math.cos(beta), CFG600)
     assert abs(gamma - 100e3 / CFG600.r_e) < 1e-6
+
+
+@pytest.mark.parametrize("on_track", [True, False])
+def test_exact_row_matches_doppler_exact_at_the_validity_radius(on_track):
+    # The far rim sits pi r_E / 4 from the sub-satellite point, so the
+    # angle whose cosine _batch_magnitudes takes as sqrt(1 - sin^2) reaches
+    # its bound pi / 4. From 3000 km every user sees the satellite.
+    cfg = SatelliteConfig(f_c=2e9, h=3000e3, omega_s=6e-4)
+    rho, limit = 100e3, math.pi * cfg.r_e / 4.0
+    r_hat = limit - rho
+    assert r_hat + rho == limit
+    far = 0.5 if on_track else 0.75
+    u_angle = np.concatenate((np.arange(32) / 32.0, [far - 1e-9, far + 1e-9]))
+    exact, z = _mapped_users(u_angle, rho, r_hat, cfg, on_track)
+    assert exact.size == u_angle.size
+    assert z.max() == limit
+    # The same planar points, so that only the sphere map is compared.
+    x, y = np.empty(u_angle.size), np.empty(u_angle.size)
+    _disk_points(np.ones(u_angle.size), u_angle.copy(), rho, x, y, np.empty(u_angle.size))
+    sx, sy = (r_hat, 0.0) if on_track else (0.0, r_hat)
+    expected = [
+        _pass_shift((sx - xi) / cfg.r_e, abs(sy - yi) / cfg.r_e, cfg) for xi, yi in zip(x, y)
+    ]
+    assert exact == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_planar_point_rejects_non_finite():

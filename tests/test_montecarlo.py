@@ -62,7 +62,8 @@ def _exact(x: float, y: float, sc: ScenarioConfig) -> tuple[float, bool]:
     phase, theta = (sx - x) / sc.cfg.r_e, math.cos((sy - y) / sc.cfg.r_e)
     cos_gamma = math.cos(phase) * theta
     slant = _slant_of_cos(cos_gamma, sc.cfg)
-    return float(_shift(phase, theta, slant, sc.cfg)), bool(_above_horizon(cos_gamma, sc.cfg))
+    chi = _shift(math.sin(phase), theta, slant, sc.cfg)
+    return float(chi), bool(_above_horizon(cos_gamma, sc.cfg))
 
 
 def _envelope(x: float, y: float, sc: ScenarioConfig) -> float:

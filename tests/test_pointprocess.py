@@ -128,10 +128,11 @@ def test_disk_map_matches_cos_sin_of_the_full_angle():
     assert np.all(np.abs(x - r * np.cos(theta)) <= 1e-15 * r)
     assert np.all(np.abs(y - r * np.sin(theta)) <= 1e-15 * r)
     # The quadrant turn itself is exact: each coordinate is +-r cos d or
-    # +-r sin d of the reduced angle d.
+    # +-r sin d of the reduced angle d, with cos d = sqrt(1 - sin^2 d).
     q = np.rint(4.0 * u_angle)
     d = (4.0 * u_angle - q) * (0.5 * math.pi)
-    c, s = r * np.cos(d), r * np.sin(d)
+    sin_d = np.sin(d)
+    c, s = r * np.sqrt(1.0 - sin_d * sin_d), r * sin_d
     quadrant = q.astype(int)
     assert np.array_equal(x, np.choose(quadrant, [c, -s, -c, s, c]))
     assert np.array_equal(y, np.choose(quadrant, [s, c, -s, -c, s]))
