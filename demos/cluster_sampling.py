@@ -10,15 +10,14 @@ import numpy as np
 from leodoppler import (
     CellModel,
     DiskDistanceDistribution,
-    EmpiricalCdf,
     PlanarPoint,
     disk_distance_cdf,
     distances_to_point,
     dump_clusters_csv,
-    ks_distance,
     sample_cell,
     sample_uniform_disk,
 )
+from leodoppler.montecarlo import EmpiricalCdf, ks_distance
 
 rng = np.random.default_rng(2024)
 

@@ -48,9 +48,7 @@ from .geometry import (
 )
 from .montecarlo import (
     ComparisonReport,
-    EmpiricalCdf,
     ScenarioConfig,
-    ks_distance,
     run_scenario,
     write_report_csv,
     write_summary,
@@ -75,7 +73,6 @@ __all__ = [
     "DopplerMagnitudeDistribution",
     "EARTH_ANGULAR_VELOCITY_RAD_S",
     "EARTH_RADIUS_M",
-    "EmpiricalCdf",
     "PassGeometry",
     "PlanarPoint",
     "SPEED_OF_LIGHT_M_S",
@@ -97,7 +94,6 @@ __all__ = [
     "elevation_from_central_angle",
     "epsilon_accuracy_offsets",
     "gamma_dot",
-    "ks_distance",
     "max_doppler_cdf",
     "max_doppler_pdf",
     "min_doppler_cdf",

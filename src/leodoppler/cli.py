@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import (
-    DopplerMagnitudeDistribution,
     doppler_cdf,
     doppler_pdf,
     doppler_support_max,
@@ -182,10 +181,6 @@ def default_config(h_km: float = 600.0) -> ScenarioConfig:
     return _resolve({"h_km": h_km})
 
 
-def _distribution(sc: ScenarioConfig) -> DopplerMagnitudeDistribution:
-    return DopplerMagnitudeDistribution.for_satellite(sc.cfg, sc.rho, sc.r_hat)
-
-
 def cmd_curve(sc: ScenarioConfig, out_dir: Path, which: str, n: int) -> Path:
     """Write one closed-form curve on a grid over the magnitude support.
 
@@ -199,7 +194,7 @@ def cmd_curve(sc: ScenarioConfig, out_dir: Path, which: str, n: int) -> Path:
     if not (_integral(n) and n >= 1):
         raise ConfigValidationError(f"order statistic needs n >= 1, got {n}")
     name, law = _CURVES[which]
-    dist = _distribution(sc)
+    dist = sc.law
     grid = np.linspace(0.0, doppler_support_max(dist), sc.grid_points)
     out = out_dir / name.format(n=n)
     lines = ["x_hz,value"]
@@ -253,7 +248,7 @@ def cmd_figure(preset: str, sc: ScenarioConfig, out_dir: Path, threads: int = 1)
     rows at equal x are comparable across the sweep's files.
     """
     scenarios = figure_scenarios(preset, sc)
-    x_top = max(doppler_support_max(_distribution(s)) for _, s in scenarios)
+    x_top = max(doppler_support_max(s.law) for _, s in scenarios)
     written: list[Path] = []
     for label, scenario in scenarios:
         report = run_scenario(scenario, threads=threads, x_max=x_top)

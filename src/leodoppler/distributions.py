@@ -10,8 +10,8 @@ variables. Order statistics over N independent users and the closed
 overhead special case (r_hat = 0) come with it.
 
 All functions accept scalars or ndarrays for the evaluation point and are
-strict about SI units (metres, hertz). A NaN evaluation point raises
-ValueError.
+strict about SI units (metres, hertz). A NaN or negative evaluation point
+raises ValueError.
 """
 from __future__ import annotations
 
@@ -55,10 +55,14 @@ class DiskDistanceDistribution:
         _check_length("offset", self.offset, lo=0.0)
 
 
-def _eval_points(x) -> tuple[np.ndarray, bool]:
+def _eval_points(x, what: str) -> tuple[np.ndarray, bool]:
+    """x as a 1-d float array, and whether x was a scalar. Raises ValueError
+    for a NaN or negative entry; what names the quantity in the message."""
     arr = np.asarray(x, dtype=float)
     if np.isnan(arr).any():
         raise ValueError("evaluation point is NaN")
+    if (arr < 0.0).any():
+        raise ValueError(f"{what} must be nonnegative")
     return np.atleast_1d(arr), arr.ndim == 0
 
 
@@ -83,9 +87,7 @@ def disk_distance_cdf(r, d: DiskDistanceDistribution):
     intersect, 0 below the reachable range and exactly 1 from R + offset
     on. The inner breakpoint belongs to the closed branch on its left.
     """
-    rr, scalar = _eval_points(r)
-    if np.any(rr < 0.0):
-        raise ValueError("distance must be nonnegative")
+    rr, scalar = _eval_points(r, "distance")
     R, off = d.radius, d.offset
     out = np.zeros_like(rr)
     hi = R + off
@@ -111,9 +113,7 @@ def disk_distance_cdf(r, d: DiskDistanceDistribution):
 
 def disk_distance_pdf(r, d: DiskDistanceDistribution):
     """Density of the distance to the fixed point, evaluated at r."""
-    rr, scalar = _eval_points(r)
-    if np.any(rr < 0.0):
-        raise ValueError("distance must be nonnegative")
+    rr, scalar = _eval_points(r, "distance")
     R, off = d.radius, d.offset
     out = np.zeros_like(rr)
     if off < R:
@@ -173,15 +173,6 @@ class DopplerMagnitudeDistribution:
     def _disk(self) -> DiskDistanceDistribution:
         return DiskDistanceDistribution(self.rho, self.r_hat)
 
-    def cdf(self, x):
-        return doppler_cdf(x, self)
-
-    def pdf(self, x):
-        return doppler_pdf(x, self)
-
-    def quantile(self, p):
-        return doppler_quantile(p, self)
-
 
 def _magnitude_at_distance(z, dist: DopplerMagnitudeDistribution, out=None, work=None):
     """Envelope magnitude A z / sqrt(h^2 + z^2) at planar distance z >= 0;
@@ -225,9 +216,7 @@ def doppler_support_min(dist: DopplerMagnitudeDistribution) -> float:
 
 def doppler_cdf(x, dist: DopplerMagnitudeDistribution):
     """CDF of the Doppler magnitude at x >= 0 Hz."""
-    xx, scalar = _eval_points(x)
-    if np.any(xx < 0.0):
-        raise ValueError("Doppler magnitude must be nonnegative")
+    xx, scalar = _eval_points(x, "Doppler magnitude")
     out = np.ones_like(xx)
     below = xx < doppler_support_max(dist)
     if np.any(below):
@@ -238,9 +227,7 @@ def doppler_cdf(x, dist: DopplerMagnitudeDistribution):
 
 def doppler_pdf(x, dist: DopplerMagnitudeDistribution):
     """Density of the Doppler magnitude at x >= 0 Hz, 0 outside the support."""
-    xx, scalar = _eval_points(x)
-    if np.any(xx < 0.0):
-        raise ValueError("Doppler magnitude must be nonnegative")
+    xx, scalar = _eval_points(x, "Doppler magnitude")
     out = np.zeros_like(xx)
     inside = xx < doppler_support_max(dist)
     if np.any(inside):
@@ -258,9 +245,9 @@ def doppler_quantile(p, dist: DopplerMagnitudeDistribution):
     spacings at its top where those exceed 1e-6 Hz. p = 0 returns the lower
     support edge, p = 1 the upper one.
     """
-    pp, scalar = _eval_points(p)
-    if np.any((pp < 0.0) | (pp > 1.0)):
-        raise ValueError("probability must lie in [0, 1]")
+    pp, scalar = _eval_points(p, "probability")
+    if (pp > 1.0).any():
+        raise ValueError("probability must be at most 1")
     lo_edge = doppler_support_min(dist)
     hi_edge = doppler_support_max(dist)
     lo = np.full_like(pp, lo_edge)
@@ -336,9 +323,7 @@ def overhead_cdf(x, dist: DopplerMagnitudeDistribution):
     [0, A / sqrt(1 + h^2 / rho^2)]; 1 above it.
     """
     _require_overhead(dist)
-    xx, scalar = _eval_points(x)
-    if np.any(xx < 0.0):
-        raise ValueError("Doppler magnitude must be nonnegative")
+    xx, scalar = _eval_points(x, "Doppler magnitude")
     out = np.ones_like(xx)
     below = xx < doppler_support_max(dist)
     xb = xx[below]
@@ -352,9 +337,7 @@ def overhead_pdf(x, dist: DopplerMagnitudeDistribution):
     f(x) = (2 A^2 h^2 / rho^2) * x / (A^2 - x^2)^2 on the support, 0 above.
     """
     _require_overhead(dist)
-    xx, scalar = _eval_points(x)
-    if np.any(xx < 0.0):
-        raise ValueError("Doppler magnitude must be nonnegative")
+    xx, scalar = _eval_points(x, "Doppler magnitude")
     out = np.zeros_like(xx)
     below = xx < doppler_support_max(dist)
     xb = xx[below]

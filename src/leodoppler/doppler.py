@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    SPEED_OF_LIGHT_M_S,
     SatelliteConfig,
     _pass_phase,
     angular_velocity_ecf,
@@ -30,28 +31,20 @@ class PassGeometry:
     """One satellite pass as seen by one user.
 
     Attributes:
-        alpha_max: Maximum elevation of the pass, radians, in [0, pi/2].
-        t_alpha_max: Epoch of maximum elevation in seconds; time offsets dt
-            are measured from this instant.
-        theta: Cosine of the minimum central angle, cached from alpha_max.
+        theta: Cosine of the minimum central angle, reached at the instant
+            of maximum elevation; time offsets dt are measured from it.
     """
 
-    alpha_max: float
-    t_alpha_max: float
     theta: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha_max <= math.pi / 2.0):
-            raise ValueError(f"alpha_max must lie in [0, pi/2], got {self.alpha_max}")
         if not (0.0 < self.theta <= 1.0):
             raise ValueError(f"Theta must lie in (0, 1], got {self.theta}")
 
     @classmethod
-    def from_max_elevation(
-        cls, alpha_max: float, cfg: SatelliteConfig, t_alpha_max: float = 0.0
-    ) -> "PassGeometry":
-        """Build a pass from its maximum elevation, deriving Theta."""
-        return cls(alpha_max, t_alpha_max, theta_of_alpha_max(alpha_max, cfg))
+    def from_max_elevation(cls, alpha_max: float, cfg: SatelliteConfig) -> "PassGeometry":
+        """Build a pass from its maximum elevation alpha_max in [0, pi/2]."""
+        return cls(theta_of_alpha_max(alpha_max, cfg))
 
 
 def theta_of_alpha_max(alpha_max: float, cfg: SatelliteConfig) -> float:
@@ -121,7 +114,7 @@ def doppler_bound(alpha_t: float, cfg: SatelliteConfig) -> float:
     """
     if not (0.0 <= alpha_t <= math.pi / 2.0):
         raise ValueError(f"elevation must lie in [0, pi/2], got {alpha_t}")
-    return cfg.f_c * cfg.r_e * angular_velocity_ecf(cfg) * math.cos(alpha_t) / cfg.c
+    return cfg.f_c * cfg.r_e * angular_velocity_ecf(cfg) * math.cos(alpha_t) / SPEED_OF_LIGHT_M_S
 
 
 def epsilon_accuracy_offsets(

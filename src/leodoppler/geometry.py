@@ -58,20 +58,20 @@ class BelowHorizonError(Exception):
     """Raised when the satellite is below the local horizon of a user."""
 
 
-def clamp_unit(value, tol: float = INVERSE_TRIG_CLAMP_TOL):
+def clamp_unit(value):
     """Clamp an inverse-trig argument to [-1, 1].
 
-    Accepts a scalar or an ndarray. Values within ``tol`` outside the
-    interval are clamped; values further out raise ValueError.
+    Accepts a scalar or an ndarray. Values within INVERSE_TRIG_CLAMP_TOL
+    outside the interval are clamped; values further out raise ValueError.
     """
     arr = np.asarray(value, dtype=float)
     excess = np.abs(arr) - 1.0
     # Not np.any/np.max/np.clip: their wrappers dominate scalar callers.
-    if (excess > tol).any():
+    if (excess > INVERSE_TRIG_CLAMP_TOL).any():
         worst = float(excess.max())
         raise ValueError(
             f"inverse-trig argument outside [-1, 1] by {worst:.3e} "
-            f"(tolerance {tol:.1e})"
+            f"(tolerance {INVERSE_TRIG_CLAMP_TOL:.1e})"
         )
     clipped = np.minimum(np.maximum(arr, -1.0), 1.0)
     if arr.ndim == 0:
@@ -90,7 +90,6 @@ class SatelliteConfig:
         omega_e: Earth rotation rate in rad/s.
         theta_i: Orbital inclination in radians.
         r_e: Earth radius in metres.
-        c: Propagation speed in m/s.
     """
 
     f_c: float
@@ -99,7 +98,6 @@ class SatelliteConfig:
     omega_e: float = EARTH_ANGULAR_VELOCITY_RAD_S
     theta_i: float = 0.0
     r_e: float = EARTH_RADIUS_M
-    c: float = SPEED_OF_LIGHT_M_S
 
     def __post_init__(self) -> None:
         if not (self.f_c > 0.0 and math.isfinite(self.f_c)):
@@ -112,8 +110,6 @@ class SatelliteConfig:
         if not (0.0 <= self.theta_i <= math.pi):
             raise ValueError(f"inclination must lie in [0, pi], got {self.theta_i}")
         _check_length("Earth radius", self.r_e)
-        if not (self.c > 0.0 and math.isfinite(self.c)):
-            raise ValueError(f"propagation speed must be positive, got {self.c}")
         _check_range(
             "Doppler scale A", param_A(self), MIN_DOPPLER_SCALE_HZ, MAX_DOPPLER_SCALE_HZ, "Hz"
         )
@@ -151,7 +147,7 @@ def param_A(cfg: SatelliteConfig) -> float:
     The magnitude of any user's shift approaches A as the slant path
     flattens; every supported magnitude stays strictly below it.
     """
-    return cfg.f_c * orbital_radius(cfg) * angular_velocity_ecf(cfg) / cfg.c
+    return cfg.f_c * orbital_radius(cfg) * angular_velocity_ecf(cfg) / SPEED_OF_LIGHT_M_S
 
 
 def _pass_phase(dt: float, cfg: SatelliteConfig) -> float:
@@ -222,9 +218,9 @@ def elevation_from_central_angle(gamma: float, cfg: SatelliteConfig) -> float:
     if not (0.0 <= gamma <= math.pi):
         raise ValueError(f"central angle must lie in [0, pi], got {gamma}")
     cos_gamma = math.cos(gamma)
-    vertical = orbital_radius(cfg) * cos_gamma - cfg.r_e
-    if vertical < 0.0:
+    if not _above_horizon(cos_gamma, cfg):
         raise BelowHorizonError(
             f"satellite below horizon at central angle {gamma:.6f} rad"
         )
+    vertical = orbital_radius(cfg) * cos_gamma - cfg.r_e
     return math.asin(clamp_unit(vertical / _slant_of_cos(cos_gamma, cfg)))

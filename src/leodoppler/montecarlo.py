@@ -112,8 +112,8 @@ class ScenarioConfig:
     grid_points: int = 512
 
     def __post_init__(self) -> None:
-        # The law's own checks bound rho and r_hat (and A, via cfg).
-        DopplerMagnitudeDistribution.for_satellite(self.cfg, self.rho, self.r_hat)
+        # Building the law checks rho and r_hat (and A, via cfg).
+        self.law
         limit = math.pi * self.cfg.r_e / 4.0
         if self.rho + self.r_hat > limit:
             raise ValueError(
@@ -138,6 +138,11 @@ class ScenarioConfig:
         # Whole floats pass the checks above; the sampler needs ints.
         for key in ("n_users", "trials", "seed", "grid_points"):
             object.__setattr__(self, key, int(getattr(self, key)))
+
+    @property
+    def law(self) -> DopplerMagnitudeDistribution:
+        """Closed-form magnitude law of the scene, built on each read."""
+        return DopplerMagnitudeDistribution.for_satellite(self.cfg, self.rho, self.r_hat)
 
 
 @dataclass(frozen=True)
@@ -288,7 +293,7 @@ def _batch_magnitudes(
     np.square(y, out=s)
     z += s
     np.sqrt(z, out=z)
-    dist = DopplerMagnitudeDistribution.for_satellite(cfg, scenario.rho, scenario.r_hat)
+    dist = scenario.law
     _magnitude_at_distance(z, dist, out=bound, work=scratch)
     phase, theta = x, y
     phase /= cfg.r_e
@@ -449,9 +454,7 @@ def run_scenario(
         raise ValueError(f"thread count must be a positive integer, got {threads}")
     if x_max is not None and not math.isfinite(x_max):
         raise ValueError(f"x_max must be finite, got {x_max}")
-    dist = DopplerMagnitudeDistribution.for_satellite(
-        scenario.cfg, scenario.rho, scenario.r_hat
-    )
+    dist = scenario.law
     grid_top = doppler_support_max(dist) if x_max is None else float(x_max)
     grid = np.linspace(0.0, grid_top, scenario.grid_points)
     cdf_analytic = np.asarray(doppler_cdf(grid, dist))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PlanarPoint, _integral
+from .geometry import PlanarPoint, _check_length, _integral
 
 _CSV_HEADER = "cluster_id,user_id,x_m,y_m"
 
@@ -29,9 +29,9 @@ class CellModel:
     """Cell-level cluster process description.
 
     Attributes:
-        r_cell: Cell radius in metres (> 0).
+        r_cell: Cell radius in metres, in [MIN_LENGTH_M, MAX_LENGTH_M].
         lambda_c: Parent intensity in parents per square metre (> 0).
-        rho: Cluster disk radius in metres (> 0, at most r_cell).
+        rho: Cluster disk radius in metres, in [MIN_LENGTH_M, r_cell].
         n: Number of users per cluster (>= 1).
     """
 
@@ -41,13 +41,13 @@ class CellModel:
     n: int
 
     def __post_init__(self) -> None:
-        if not (self.r_cell > 0.0 and math.isfinite(self.r_cell)):
-            raise ValueError(f"cell radius must be positive, got {self.r_cell}")
+        _check_length("cell radius", self.r_cell)
         if not (self.lambda_c > 0.0 and math.isfinite(self.lambda_c)):
             raise ValueError(f"parent intensity must be positive, got {self.lambda_c}")
-        if not (0.0 < self.rho <= self.r_cell):
+        _check_length("cluster radius", self.rho)
+        if self.rho > self.r_cell:
             raise ValueError(
-                f"cluster radius must lie in (0, r_cell], got {self.rho} "
+                f"cluster radius must be at most r_cell, got {self.rho} "
                 f"with r_cell {self.r_cell}"
             )
         if not (_integral(self.n) and self.n >= 1):

@@ -38,6 +38,7 @@ from leodoppler.doppler import (
     theta_of_alpha_max,
 )
 from leodoppler.geometry import (
+    SPEED_OF_LIGHT_M_S,
     SatelliteConfig,
     angular_velocity_ecf,
     central_angle,
@@ -274,10 +275,10 @@ def test_accuracy_window_matches_scan():
     # primitives; both crossings within 1 s.
     epsilon = 0.01
     theta = theta_of_alpha_max(math.pi / 4, CFG600)
-    geometry = PassGeometry(alpha_max=math.pi / 4, t_alpha_max=0.0, theta=theta)
+    geometry = PassGeometry(theta)
     r_o = orbital_radius(CFG600)
     omega = angular_velocity_ecf(CFG600)
-    scale = CFG600.f_c * CFG600.r_e * omega / CFG600.c
+    scale = CFG600.f_c * CFG600.r_e * omega / SPEED_OF_LIGHT_M_S
 
     def error_of(dt: float) -> float:
         gamma = central_angle(dt, theta, CFG600)

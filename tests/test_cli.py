@@ -6,12 +6,14 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from leodoppler import montecarlo
 from leodoppler.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -458,17 +460,25 @@ _FUZZ_LINES = st.one_of(
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
+    # Most fuzzed files lack a usable altitude; a leading one lets more of
+    # them reach the curve writer or the sampler.
+    head=st.sampled_from(["", "h_km = 600", "h_km = 1200"]),
     lines=st.lists(_FUZZ_LINES, max_size=8),
     command=st.sampled_from([["cdf"], ["pdf"], ["order-stats"],
                              ["order-stats", "--which", "min"],
-                             ["order-stats", "--which", "max", "--n", "3"]]),
+                             ["order-stats", "--which", "max", "--n", "3"],
+                             ["simulate"], ["simulate", "--threads", "2"],
+                             ["figure", "--preset", "fig2"], ["figure", "--preset", "fig3"],
+                             ["figure", "--preset", "fig4"]]),
 )
-def test_main_exits_cleanly_on_fuzzed_config(lines, command):
-    # No command here samples users, and every accepted grid_points value
-    # is at most 1200, so each example stays cheap.
-    with tempfile.TemporaryDirectory() as tmp:
+def test_main_exits_cleanly_on_fuzzed_config(head, lines, command):
+    # Every accepted grid_points value is at most 1200, and a lower cap on
+    # n_users * trials keeps each sampled scene at 2e4 users or fewer (the
+    # default config has 1e4), so each example stays cheap. Larger counts
+    # take the same exit as counts above the real cap.
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(montecarlo, "MAX_USERS", 20_000):
         cfg = Path(tmp) / "run.cfg"
-        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg.write_text("\n".join([head, *lines]) + "\n", encoding="utf-8")
         code = main([*command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_IO)
 

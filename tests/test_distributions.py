@@ -676,13 +676,6 @@ def test_distribution_field_validation():
         DopplerMagnitudeDistribution(a=A600, h=600e3, rho=100e3, r_hat=-1.0)
 
 
-def test_distribution_methods_delegate():
-    dist = _dist600(100e3, 50e3)
-    assert dist.cdf(4e3) == doppler_cdf(4e3, dist)
-    assert dist.pdf(4e3) == doppler_pdf(4e3, dist)
-    assert dist.quantile(0.3) == doppler_quantile(0.3, dist)
-
-
 # ------------------------------------------------------------ NaN input ----
 
 _D = _dist600(100e3, 200e3)

@@ -23,6 +23,7 @@ from leodoppler.doppler import (
     theta_of_alpha_max,
 )
 from leodoppler.geometry import (
+    SPEED_OF_LIGHT_M_S,
     SatelliteConfig,
     angular_velocity_ecf,
     central_angle,
@@ -174,7 +175,7 @@ def test_doppler_equals_slant_range_finite_difference():
             slant_range(dt + eta, pg.theta, CFG600)
             - slant_range(dt - eta, pg.theta, CFG600)
         ) / (2.0 * eta)
-        expected = -(CFG600.f_c / CFG600.c) * ds
+        expected = -(CFG600.f_c / SPEED_OF_LIGHT_M_S) * ds
         assert doppler_exact(dt, pg, CFG600) == pytest.approx(expected, rel=1e-6)
 
 
@@ -195,7 +196,7 @@ def test_doppler_two_forms_agree():
         gamma = central_angle(dt, pg.theta, CFG600)
         alpha = elevation_from_central_angle(gamma, CFG600)
         via_rate = (
-            -(CFG600.f_c * CFG600.r_e / CFG600.c)
+            -(CFG600.f_c * CFG600.r_e / SPEED_OF_LIGHT_M_S)
             * gamma_dot(dt, pg.theta, CFG600)
             * math.cos(alpha)
         )
@@ -300,14 +301,13 @@ def test_epsilon_window_rejects_bad_inputs():
 def test_pass_geometry_caches_consistent_theta():
     pg = PassGeometry.from_max_elevation(0.7, CFG600)
     assert pg.theta == theta_of_alpha_max(0.7, CFG600)
-    assert pg.t_alpha_max == 0.0
 
 
 def test_pass_geometry_validation():
     with pytest.raises(ValueError):
-        PassGeometry(alpha_max=-0.1, t_alpha_max=0.0, theta=0.95)
+        PassGeometry.from_max_elevation(-0.1, CFG600)
     with pytest.raises(ValueError):
-        PassGeometry(alpha_max=0.5, t_alpha_max=0.0, theta=1.2)
+        PassGeometry(theta=1.2)
     # A non-finite time offset is rejected by name, not turned into NaN.
     pg = PassGeometry.from_max_elevation(0.7, CFG600)
     for dt in (math.nan, math.inf, -math.inf):

@@ -16,6 +16,7 @@ from leodoppler.distributions import DopplerMagnitudeDistribution, _magnitude_at
 from leodoppler.doppler import PassGeometry, doppler_exact
 from leodoppler.geometry import (
     EARTH_RADIUS_M,
+    SPEED_OF_LIGHT_M_S,
     BelowHorizonError,
     PlanarPoint,
     SatelliteConfig,
@@ -49,7 +50,7 @@ def test_config_validation_rejects_bad_fields():
 
 
 def test_speed_of_light_is_exact_si():
-    assert CFG600.c == 299792458.0
+    assert SPEED_OF_LIGHT_M_S == 299792458.0
 
 
 # ----------------------------------------------------------- clamp policy ----
@@ -273,7 +274,7 @@ def _mapped_users(
 def _pass_shift(psi: float, beta: float, cfg: SatelliteConfig) -> float:
     """|Exact shift| at along-track angle psi on the pass whose closest
     approach has cross-track angle beta."""
-    geometry = PassGeometry(elevation_from_central_angle(beta, cfg), 0.0, math.cos(beta))
+    geometry = PassGeometry(math.cos(beta))
     return abs(doppler_exact(psi / angular_velocity_ecf(cfg), geometry, cfg))
 
 

@@ -222,6 +222,9 @@ def test_cell_model_validation():
         CellModel(r_cell=1e4, lambda_c=1e-7, rho=2e4, n=4)
     with pytest.raises(ValueError):
         CellModel(r_cell=1e4, lambda_c=1e-7, rho=1e3, n=0)
+    # r_cell**2 would overflow in sample_cell.
+    with pytest.raises(ValueError, match="cell radius"):
+        CellModel(r_cell=1e200, lambda_c=1e-300, rho=1.0, n=1)
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="users per cluster n"):
             CellModel(r_cell=1e4, lambda_c=1e-7, rho=1e3, n=bad)
