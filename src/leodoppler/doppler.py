@@ -56,8 +56,10 @@ def theta_of_alpha_max(alpha_max: float, cfg: SatelliteConfig) -> float:
     """
     if not (0.0 <= alpha_max <= math.pi / 2.0):
         raise ValueError(f"alpha_max must lie in [0, pi/2], got {alpha_max}")
+    # k = r_E / (r_E + h) <= 1 and cos(alpha_max) in [0, 1] even after
+    # rounding, so acos needs no clamp.
     k = cfg.r_e / orbital_radius(cfg)
-    return math.cos(math.acos(clamp_unit(k * math.cos(alpha_max))) - alpha_max)
+    return math.cos(math.acos(k * math.cos(alpha_max)) - alpha_max)
 
 
 def gamma_dot(dt: float, theta: float, cfg: SatelliteConfig) -> float:

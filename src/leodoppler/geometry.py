@@ -198,7 +198,8 @@ def slant_range(dt: float, theta: float, cfg: SatelliteConfig) -> float:
 def central_angle(dt: float, theta: float, cfg: SatelliteConfig) -> float:
     """Earth-centre angle between user and sub-satellite point at offset dt."""
     theta = _validate_theta(theta)
-    return math.acos(clamp_unit(math.cos(_pass_phase(dt, cfg)) * theta))
+    # theta is in [0, 1] and |cos| <= 1, so the product is too: no clamp.
+    return math.acos(math.cos(_pass_phase(dt, cfg)) * theta)
 
 
 def elevation_from_central_angle(gamma: float, cfg: SatelliteConfig) -> float:

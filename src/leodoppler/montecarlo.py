@@ -22,7 +22,10 @@ an exact one's from the distance at which the envelope takes its value.
 Once per run, each grid column is the unmixed KS bins up to the grid point
 plus the mixed bins' grid counts up to it. Integer sums do not depend on
 their order, so results are identical for any worker count, and memory is
-O(edges + batch) whatever the number of users. The grid columns are exact.
+O(edges + batch) whatever the number of users: each worker holds eight
+rows of its batch length (4 MiB at 2^16), the draws in two of them, and
+run_scenario allocates them all before any worker starts, so that glibc's
+per-thread arenas do not keep them. The grid columns are exact.
 The KS distances are upper bounds from the counts and the analytic CDF at
 the edges, above the exact statistic by at most one bin's mass.
 
@@ -60,11 +63,11 @@ from .pointprocess import _disk_points
 # depend on the number of workers.
 _N_CHUNKS = 64
 
-# Users drawn and binned at once. Each worker reuses one set of arrays of
-# this length (about 4 MB at 2^16) for all its batches. Every numpy call
-# covers a whole batch, which keeps the per-call overhead and the threads'
-# waits for the interpreter lock between calls small: 2^15 was about 9 %
-# slower on 2 threads.
+# Users drawn and binned at once. Each worker reuses eight rows of this
+# length, seven float64 and one intp (4 MiB at 2^16), for all its batches.
+# Every numpy call covers a whole batch, which keeps the per-call overhead
+# and the threads' waits for the interpreter lock between calls small:
+# 2^15 was about 9 % slower on 2 threads.
 _BATCH = 1 << 16
 
 # The KS edges number ceil(64 sqrt(n)) for n users, at most 2^16: enough to
@@ -229,18 +232,21 @@ def _batch_size(jobs: list, n_users: int) -> int:
     return min(_BATCH, n_users * sum(trials for _, trials in jobs))
 
 
-def _uniform_batches(jobs: list, n_users: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _uniform_batches(
+    jobs: list, n_users: int, radius: np.ndarray, angle: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The chunks' uniform draws, packed into batches of at most _BATCH users.
 
     Chunk k contributes the same numbers as rng.random(count) twice with
     rng = default_rng(seed_k) and count = trials_k * n_users: the first
     draw to the radius column, the second to the angle column. The angles
     come from a second generator advanced past the radius draws, so a chunk
-    can be split across batches. The two columns are reused buffers, valid
-    until the next batch is requested; the consumer may overwrite them.
+    can be split across batches. The columns are the first _batch_size
+    entries of the caller's rows radius and angle, rewritten for every
+    batch; the consumer may overwrite them before it asks for the next.
     """
     size = _batch_size(jobs, n_users)
-    radius, angle = np.empty(size), np.empty(size)
+    radius, angle = radius[:size], angle[:size]
     filled = 0
     for child_seed, trials in jobs:
         count = trials * n_users
@@ -275,8 +281,9 @@ def _batch_magnitudes(
     envelope takes it: the user's own distance to the sub-satellite point
     in row 1, the inverse map of the value in row 0. sink may overwrite z;
     values and z stay valid only until sink returns. work is a (6, >=
-    batch) float array; it, u_radius and u_angle are overwritten. Returns
-    the number of users that could not see the satellite.
+    batch) float array; it, u_radius and u_angle are overwritten. The
+    draws may be work's rows 4 and 5, which the disk map reads first.
+    Returns the number of users that could not see the satellite.
     """
     n = u_radius.size
     cfg = scenario.cfg
@@ -385,19 +392,22 @@ class _EdgeIndex:
 
 
 def _count_chunks(
-    scenario: ScenarioConfig, ks: _EdgeIndex, grid: _EdgeIndex, mixed: np.ndarray, jobs: list
+    scenario: ScenarioConfig,
+    ks: _EdgeIndex,
+    grid: _EdgeIndex,
+    mixed: np.ndarray,
+    jobs: list,
+    real: np.ndarray,
+    bins: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Per-bin counts of the KS edges and, for values in mixed KS bins, of the
-    grid (rows: exact, envelope), and the exclusions, over some chunks."""
+    grid (rows: exact, envelope), and the exclusions, over some chunks.
+
+    real (7, >= batch) floats and bins (>= batch) intp are the worker's
+    rows, which every batch overwrites; the draws go to real[4] and real[5].
+    """
     ks_acc = np.zeros((2, ks.edges.size + 1), dtype=np.int64)
     grid_acc = np.zeros((2, grid.edges.size + 1), dtype=np.int64)
-    # One batch's arrays, reused by every batch. Allocated afresh per batch,
-    # glibc handed them back to the OS after each batch and faulted them in
-    # again on the next: 5e4-1e5 page faults and 0.2-0.4 s of system time
-    # per 1e7 users on 2 threads.
-    size = _batch_size(jobs, scenario.n_users)
-    real = np.empty((7, size))
-    bins = np.empty(size, dtype=np.intp)
 
     def add_counts(row: int, values: np.ndarray, z: np.ndarray) -> None:
         j = ks(values, z, bins)
@@ -416,7 +426,7 @@ def _count_chunks(
             grid_acc[row, : counts.size] += counts
 
     excluded = 0
-    for u_radius, u_angle in _uniform_batches(jobs, scenario.n_users):
+    for u_radius, u_angle in _uniform_batches(jobs, scenario.n_users, real[4], real[5]):
         excluded += _batch_magnitudes(scenario, u_radius, u_angle, add_counts, real[:6])
     return ks_acc, grid_acc, excluded
 
@@ -468,18 +478,32 @@ def run_scenario(
 
     jobs = _chunk_jobs(scenario)
     workers = min(int(threads), len(jobs))
+    shares = [jobs[w::workers] for w in range(workers)]
+    # Every worker's batch rows, allocated here before any worker starts.
+    # Allocated per batch, they cost 5e4-1e5 page faults per 1e7 users.
+    # Allocated in the worker thread, they came from glibc's per-thread
+    # arenas, which keep their pages after the run: at 1e6 users on 2
+    # threads, peak RSS grew by about 5 MiB from the first of four runs to
+    # the last; allocated here, by about 1 MiB. A worker whose share is
+    # smaller uses the leading part of its rows.
+    batch = max(_batch_size(share, scenario.n_users) for share in shares)
+    real = np.empty((workers, 7, batch))
+    bins = np.empty((workers, batch), dtype=np.intp)
+
+    def count(w: int) -> tuple[np.ndarray, np.ndarray, int]:
+        return _count_chunks(scenario, ks_index, grid_index, mixed, shares[w], real[w], bins[w])
+
     if workers == 1:
-        parts = [_count_chunks(scenario, ks_index, grid_index, mixed, jobs)]
+        parts = [count(0)]
     else:
         # Imported here: concurrent.futures pulls in logging, about 10 ms
         # of start-up that the single-curve CLI commands never need.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda w: _count_chunks(scenario, ks_index, grid_index, mixed, jobs[w::workers]),
-                range(workers),
-            ))
+            parts = list(pool.map(count, range(workers)))
+    # Freed before the CDF pass at the KS edges, which can reuse the memory.
+    del real, bins
     ks_counts, grid_counts, excluded = parts.pop(0)
     for ks_acc, grid_acc, hidden in parts:
         ks_counts += ks_acc

@@ -129,13 +129,12 @@ def sample_uniform_disk(
 
     Args:
         center: Cluster centre on the tangent plane.
-        rho: Disk radius in metres (> 0).
+        rho: Disk radius in metres, in [MIN_LENGTH_M, MAX_LENGTH_M].
         n: Number of users (>= 1).
         rng: Source of randomness; identical generator state reproduces the
             sample bit for bit.
     """
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise ValueError(f"disk radius must be positive, got {rho}")
+    _check_length("disk radius", rho)
     if not (_integral(n) and n >= 1):
         raise ValueError(f"user count n must be a positive integer, got {n}")
     users = _disk_offsets(rho, int(n), rng) + np.array([center.x, center.y])

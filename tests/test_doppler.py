@@ -52,6 +52,13 @@ def test_theta_horizon_pass_is_radius_ratio():
     )
 
 
+def test_theta_horizon_pass_when_radius_ratio_rounds_to_one():
+    # r_E / r_o rounds to 1, so the acos argument k cos(0) is exactly 1.
+    cfg = SatelliteConfig(f_c=1.0, h=1e-3, omega_s=1e-100, omega_e=0.0, r_e=1e150)
+    assert cfg.r_e / orbital_radius(cfg) == 1.0
+    assert theta_of_alpha_max(0.0, cfg) == 1.0
+
+
 def test_theta_frozen_value_45_degrees():
     # Root-finding oracle on elevation(gamma) = pi/4.
     assert theta_of_alpha_max(math.pi / 4, CFG600) == pytest.approx(

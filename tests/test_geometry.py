@@ -149,6 +149,17 @@ def test_central_angle_closest_approach():
     assert central_angle(0.0, theta, CFG600) == pytest.approx(math.acos(theta), rel=1e-15)
 
 
+@pytest.mark.parametrize("theta", [1.0, 1.0 + 5e-13])
+@pytest.mark.parametrize("k", [-3, -1, 0, 1, 2, 4])
+def test_central_angle_at_whole_half_turns(theta, k):
+    # At theta = 1 (a theta within the tolerance above 1 is clamped to it)
+    # and phase k pi, cos(phase) * theta is exactly +-1, the edge of acos's
+    # domain: the angle is 0 or pi, never a domain error.
+    dt = k * math.pi / angular_velocity_ecf(CFG600)
+    assert math.cos(dt * angular_velocity_ecf(CFG600)) in (-1.0, 1.0)
+    assert central_angle(dt, theta, CFG600) == (math.pi if k % 2 else 0.0)
+
+
 def test_central_angle_consistent_with_slant_range():
     rng = np.random.default_rng(17)
     r_o = orbital_radius(CFG600)

@@ -9,6 +9,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -347,10 +352,15 @@ def test_batches_reproduce_one_generator_per_chunk():
     n_users = 2
     # The middle chunk spans three batches and shares two with its neighbours.
     jobs = [(seeds[0], 3), (seeds[1], batch + 5), (seeds[2], 7)]
-    batches = [
-        (r.copy(), a.copy()) for r, a in montecarlo._uniform_batches(jobs, n_users)
-    ]
+    # Rows longer than the batch: the batch size follows from the jobs, and
+    # the draws go to the rows' leading entries only.
+    rows = np.full((2, batch + 3), -1.0)
+    batches = []
+    for r, a in montecarlo._uniform_batches(jobs, n_users, rows[0], rows[1]):
+        assert np.shares_memory(r, rows[0]) and np.shares_memory(a, rows[1])
+        batches.append((r.copy(), a.copy()))
     assert [r.size for r, _ in batches] == [batch, batch, 2 * (3 + 5 + 7)]
+    assert np.all(rows[:, batch:] == -1.0)
     radius, angle = [], []
     for child_seed, trials in jobs:
         rng = np.random.default_rng(child_seed)
@@ -526,6 +536,40 @@ def test_peak_memory_flat_in_trial_count():
     small, large = peak_bytes(12_500), peak_bytes(125_000)
     # Holding the 1e6 samples would take 16 MB for the two magnitudes alone.
     assert large <= 1.5 * small
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/status"),
+    reason="measures glibc's per-thread arenas through Linux's VmHWM",
+)
+def test_repeated_threaded_runs_keep_peak_rss():
+    # Batch arrays allocated inside worker threads land in glibc's
+    # per-thread arenas, which keep their pages after the run; peak RSS then
+    # grew by 4.5-4.9 MiB from the first 1e6-user run below to the fourth,
+    # against 0.1-1.3 MiB with the rows allocated by run_scenario. A
+    # 1e4-user run first takes the one-time costs (imports, code pages),
+    # which are 1-2 MiB and vary. The child reads its peak as VmHWM: its
+    # ru_maxrss would also count this test process's RSS, which exec
+    # carries over to the child and which may be larger.
+    script = textwrap.dedent("""
+        from leodoppler.geometry import SatelliteConfig
+        from leodoppler.montecarlo import ScenarioConfig, run_scenario
+
+        cfg = SatelliteConfig(f_c=2e9, h=600e3, omega_s=1.1e-3)
+        run_scenario(ScenarioConfig(cfg, 100e3, 200e3, 8, 1250, seed=1), threads=2)
+        sc = ScenarioConfig(cfg, 100e3, 200e3, n_users=8, trials=125_000, seed=1)
+        for _ in range(4):
+            run_scenario(sc, threads=2)
+            with open("/proc/self/status") as fh:
+                print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+    """)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    kib = [int(line) for line in result.stdout.split()]
+    assert len(kib) == 4
+    assert kib[-1] - kib[0] <= 2 * 1024, kib
 
 
 # ------------------------------------------------------------- output ----

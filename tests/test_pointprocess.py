@@ -84,8 +84,9 @@ def test_disk_sequential_draws_differ():
 
 def test_disk_sampling_validation():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_uniform_disk(ORIGIN, 0.0, 10, rng)
+    for bad in (0.0, -1.0, 1e-300, 1e200, math.inf, math.nan):
+        with pytest.raises(ValueError, match="disk radius"):
+            sample_uniform_disk(ORIGIN, bad, 10, rng)
     with pytest.raises(ValueError):
         sample_uniform_disk(ORIGIN, 1e5, 0, rng)
     for bad in (math.inf, -math.inf, math.nan):
