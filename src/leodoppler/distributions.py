@@ -217,11 +217,11 @@ def doppler_support_min(dist: DopplerMagnitudeDistribution) -> float:
 def doppler_cdf(x, dist: DopplerMagnitudeDistribution):
     """CDF of the Doppler magnitude at x >= 0 Hz."""
     xx, scalar = _eval_points(x, "Doppler magnitude")
-    out = np.ones_like(xx)
     below = xx < doppler_support_max(dist)
-    if np.any(below):
-        z = _distance_of_magnitude(xx[below], dist)
-        out[below] = disk_distance_cdf(z, dist._disk())
+    # out is allocated after the disk CDF, whose temporaries set the peak.
+    inner = disk_distance_cdf(_distance_of_magnitude(xx[below], dist), dist._disk())
+    out = np.ones_like(xx)
+    out[below] = inner
     return _scalar_or_array(out, scalar)
 
 

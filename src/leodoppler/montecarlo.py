@@ -22,10 +22,11 @@ an exact one's from the distance at which the envelope takes its value.
 Once per run, each grid column is the unmixed KS bins up to the grid point
 plus the mixed bins' grid counts up to it. Integer sums do not depend on
 their order, so results are identical for any worker count, and memory is
-O(edges + batch) whatever the number of users: each worker holds eight
-rows of its batch length (4 MiB at 2^16), the draws in two of them, and
-run_scenario allocates them all before any worker starts, so that glibc's
-per-thread arenas do not keep them. The grid columns are exact.
+O(edges + batch) whatever the number of users: each worker holds six
+float rows of its batch length (3 MiB at 2^16), the draws in two of them,
+and int32 counts, and run_scenario allocates them all before any worker
+starts, so that glibc's per-thread arenas do not keep them. The grid
+columns are exact.
 The KS distances are upper bounds from the counts and the analytic CDF at
 the edges, above the exact statistic by at most one bin's mass.
 
@@ -63,8 +64,8 @@ from .pointprocess import _disk_points
 # depend on the number of workers.
 _N_CHUNKS = 64
 
-# Users drawn and binned at once. Each worker reuses eight rows of this
-# length, seven float64 and one intp (4 MiB at 2^16), for all its batches.
+# Users drawn and binned at once. Each worker reuses six float64 rows of
+# this length (3 MiB at 2^16) for all its batches.
 # Every numpy call covers a whole batch, which keeps the per-call overhead
 # and the threads' waits for the interpreter lock between calls small:
 # 2^15 was about 9 % slower on 2 threads.
@@ -269,6 +270,7 @@ def _uniform_batches(
 
 def _batch_magnitudes(
     scenario: ScenarioConfig,
+    dist: DopplerMagnitudeDistribution,
     u_radius: np.ndarray,
     u_angle: np.ndarray,
     sink,
@@ -276,13 +278,14 @@ def _batch_magnitudes(
 ) -> int:
     """Hand a batch's magnitudes over visible users to sink(row, values, z).
 
-    Row 1 holds the envelope magnitudes and goes first, row 0 the exact
-    ones. z holds, for each value, the planar distance at which the
-    envelope takes it: the user's own distance to the sub-satellite point
-    in row 1, the inverse map of the value in row 0. sink may overwrite z;
-    values and z stay valid only until sink returns. work is a (6, >=
-    batch) float array; it, u_radius and u_angle are overwritten. The
-    draws may be work's rows 4 and 5, which the disk map reads first.
+    dist is scenario.law. Row 1 holds the envelope magnitudes and goes
+    first, row 0 the exact ones. z holds, for each value, the planar
+    distance at which the envelope takes it: the user's own distance to
+    the sub-satellite point in row 1, the inverse map of the value in row
+    0. sink may overwrite z, and work's rows 4 and 5, which are free while
+    it runs; values and z stay valid only until sink returns. work is a
+    (6, >= batch) float array; it, u_radius and u_angle are overwritten.
+    The draws may be work's rows 4 and 5, which the disk map reads first.
     Returns the number of users that could not see the satellite.
     """
     n = u_radius.size
@@ -300,7 +303,6 @@ def _batch_magnitudes(
     np.square(y, out=s)
     z += s
     np.sqrt(z, out=z)
-    dist = scenario.law
     _magnitude_at_distance(z, dist, out=bound, work=scratch)
     phase, theta = x, y
     phase /= cfg.r_e
@@ -315,19 +317,16 @@ def _batch_magnitudes(
     s *= theta
     visible = _above_horizon(s, cfg, work=scratch)
     hidden = n - int(np.count_nonzero(visible))
-    if hidden:
-        sink(1, bound[visible], z[visible])
-    else:
-        sink(1, bound, z)
     chi = _shift(sin_phase, theta, _slant_of_cos(s, cfg, out=s), cfg, out=sin_phase)
-    if hidden:
-        chi = chi[visible]
     np.abs(chi, out=chi)
     # An exact magnitude at or above A has no distance; the NaN it gets
     # only makes the index search for that value.
     with np.errstate(invalid="ignore", divide="ignore"):
-        z = _distance_of_magnitude(chi, dist, out=z[: chi.size], work=bound[: chi.size])
-    sink(0, chi, z)
+        z_chi = _distance_of_magnitude(chi, dist, out=theta, work=s)
+    for row, values, at in ((1, bound, z), (0, chi, z_chi)):
+        if hidden:
+            values, at = values[visible], at[visible]
+        sink(row, values, at)
     return hidden
 
 
@@ -363,8 +362,8 @@ class _EdgeIndex:
     """
 
     def __init__(self, edges: np.ndarray, c_lo: float, c_hi: float) -> None:
-        self.edges = edges
         self._padded = np.concatenate(([-np.inf], edges, [np.inf]))
+        self.edges = self._padded[1:-1]
         self._c_lo = c_lo
         with np.errstate(all="ignore"):
             self._scale = np.float64(edges.size - 1) / (c_hi - c_lo)
@@ -393,42 +392,43 @@ class _EdgeIndex:
 
 def _count_chunks(
     scenario: ScenarioConfig,
+    dist: DopplerMagnitudeDistribution,
     ks: _EdgeIndex,
     grid: _EdgeIndex,
     mixed: np.ndarray,
     jobs: list,
-    real: np.ndarray,
-    bins: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-bin counts of the KS edges and, for values in mixed KS bins, of the
-    grid (rows: exact, envelope), and the exclusions, over some chunks.
-
-    real (7, >= batch) floats and bins (>= batch) intp are the worker's
-    rows, which every batch overwrites; the draws go to real[4] and real[5].
+    rows: np.ndarray,
+    ks_acc: np.ndarray,
+    grid_acc: np.ndarray,
+) -> int:
+    """Add per-bin counts of the KS edges to ks_acc and, for values in mixed
+    KS bins, of the grid to grid_acc (rows: exact, envelope), over some
+    chunks; return the exclusions. rows (6, >= batch) are the worker's
+    float rows, which every batch overwrites: the draws go to rows 4 and
+    5, which then hold the mixed values and, as intp, the bin indices. A
+    batch with every user visible allocates only masks, under one row.
     """
-    ks_acc = np.zeros((2, ks.edges.size + 1), dtype=np.int64)
-    grid_acc = np.zeros((2, grid.edges.size + 1), dtype=np.int64)
+    # An int32 one keeps np.add.at on its fast loop; a Python 1 is 25x slower.
+    values_out, bins, one = rows[4], rows[5].view(np.intp), np.int32(1)
 
     def add_counts(row: int, values: np.ndarray, z: np.ndarray) -> None:
         j = ks(values, z, bins)
-        counts = np.bincount(j)
-        ks_acc[row, : counts.size] += counts
+        np.add.at(ks_acc[row], j, one)
         inside = np.take(mixed, j)
         n_mixed = np.count_nonzero(inside)
         if n_mixed:
-            # The mixed values (in real[6] unless all are mixed), and a copy
+            # The mixed values (in rows[4] unless all are mixed), and a copy
             # in z (free again) that the grid index overwrites with guesses.
             if n_mixed < values.size:
-                values = np.compress(inside, values, out=real[6, :n_mixed])
+                values = np.compress(inside, values, out=values_out[:n_mixed])
             c = z[:n_mixed]
             np.copyto(c, values)
-            counts = np.bincount(grid(values, c, bins))
-            grid_acc[row, : counts.size] += counts
+            np.add.at(grid_acc[row], grid(values, c, bins), one)
 
     excluded = 0
-    for u_radius, u_angle in _uniform_batches(jobs, scenario.n_users, real[4], real[5]):
-        excluded += _batch_magnitudes(scenario, u_radius, u_angle, add_counts, real[:6])
-    return ks_acc, grid_acc, excluded
+    for u_radius, u_angle in _uniform_batches(jobs, scenario.n_users, rows[4], rows[5]):
+        excluded += _batch_magnitudes(scenario, dist, u_radius, u_angle, add_counts, rows)
+    return excluded
 
 
 def _ks_upper(cum: np.ndarray, n: int, cdf: np.ndarray) -> float:
@@ -469,8 +469,8 @@ def run_scenario(
     grid = np.linspace(0.0, grid_top, scenario.grid_points)
     cdf_analytic = np.asarray(doppler_cdf(grid, dist))
     users = scenario.n_users * scenario.trials
-    ks_edges = _ks_edges(dist, users)
-    ks_index = _EdgeIndex(ks_edges, *_ks_span(dist))
+    ks_index = _EdgeIndex(_ks_edges(dist, users), *_ks_span(dist))
+    ks_edges = ks_index.edges
     grid_index = _EdgeIndex(grid, 0.0, grid_top)
     # KS bin j is mixed when a grid point lies strictly inside it.
     padded = ks_index._padded
@@ -479,50 +479,50 @@ def run_scenario(
     jobs = _chunk_jobs(scenario)
     workers = min(int(threads), len(jobs))
     shares = [jobs[w::workers] for w in range(workers)]
-    # Every worker's batch rows, allocated here before any worker starts.
-    # Allocated per batch, they cost 5e4-1e5 page faults per 1e7 users.
-    # Allocated in the worker thread, they came from glibc's per-thread
-    # arenas, which keep their pages after the run: at 1e6 users on 2
-    # threads, peak RSS grew by about 5 MiB from the first of four runs to
-    # the last; allocated here, by about 1 MiB. A worker whose share is
-    # smaller uses the leading part of its rows.
+    # Every worker's batch rows and counts, allocated here before any
+    # worker starts. Allocated per batch, rows cost 5e4-1e5 page faults per
+    # 1e7 users. Allocated in the worker thread, they came from glibc's
+    # per-thread arenas, which keep their pages after the run: at 1e6 users
+    # on 2 threads, peak RSS grew by about 5 MiB from the first of four runs
+    # to the last; allocated here, by about 1 MiB. A worker whose share is
+    # smaller uses the leading part of its rows. Counts are int32: none
+    # exceeds MAX_USERS < 2^31.
     batch = max(_batch_size(share, scenario.n_users) for share in shares)
-    real = np.empty((workers, 7, batch))
-    bins = np.empty((workers, batch), dtype=np.intp)
+    rows = np.empty((workers, 6, batch))
+    ks_acc = np.zeros((workers, 2, ks_edges.size + 1), dtype=np.int32)
+    grid_acc = np.zeros((workers, 2, grid.size + 1), dtype=np.int32)
 
-    def count(w: int) -> tuple[np.ndarray, np.ndarray, int]:
-        return _count_chunks(scenario, ks_index, grid_index, mixed, shares[w], real[w], bins[w])
+    def count(w: int) -> int:
+        return _count_chunks(
+            scenario, dist, ks_index, grid_index, mixed, shares[w], rows[w], ks_acc[w], grid_acc[w]
+        )
 
     if workers == 1:
-        parts = [count(0)]
+        excluded = count(0)
     else:
         # Imported here: concurrent.futures pulls in logging, about 10 ms
         # of start-up that the single-curve CLI commands never need.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(count, range(workers)))
+            excluded = sum(pool.map(count, range(workers)))
     # Freed before the CDF pass at the KS edges, which can reuse the memory.
-    del real, bins
-    ks_counts, grid_counts, excluded = parts.pop(0)
-    for ks_acc, grid_acc, hidden in parts:
-        ks_counts += ks_acc
-        grid_counts += grid_acc
-        excluded += hidden
-    del parts
+    del rows
+    ks_counts, grid_counts = (acc.sum(axis=0, dtype=np.int32) for acc in (ks_acc, grid_acc))
     if excluded == users:
         raise ValueError("satellite below horizon for every sampled user")
     n = users - excluded
     # Samples at or below grid point g: the unmixed KS bins' up to the last
     # KS edge <= g (below[:, i] sums those before bin i) plus the grid
-    # counts up to g. Tables as large as the KS edges go before the CDF pass.
-    below = np.zeros((2, ks_edges.size + 2), dtype=np.int64)
+    # counts up to g. Tables as large as the KS edges, but for the edges
+    # and their counts, go before the CDF pass.
+    below = np.zeros((2, ks_edges.size + 2), dtype=np.int32)
     np.multiply(ks_counts, ~mixed, out=below[:, 1:])
-    np.cumsum(below, axis=1, out=below)
+    np.cumsum(below, axis=1, dtype=np.int32, out=below)
     cum_grid = below[:, np.searchsorted(ks_edges, grid, "right")]
-    cum_grid += np.cumsum(grid_counts[:, :-1], axis=1)
-    del below, ks_index
-    cum_ks = np.cumsum(ks_counts, axis=1, out=ks_counts)[:, :-1]
+    cum_grid += np.cumsum(grid_counts[:, :-1], axis=1, dtype=np.int32)
+    del below, mixed, padded, ks_index, grid_index, ks_acc, grid_acc
+    cum_ks = np.cumsum(ks_counts, axis=1, dtype=np.int32, out=ks_counts)[:, :-1]
     ks_cdf = np.asarray(doppler_cdf(ks_edges, dist))
     cdf_emp_exact = cum_grid[0] / n
     gate = 3.0 * np.sqrt(cdf_analytic * (1.0 - cdf_analytic) / n)

@@ -275,7 +275,7 @@ def _mapped_users(
     rows = {}
     n = len(u_angle)
     montecarlo._batch_magnitudes(
-        sc, np.ones(n), np.array(u_angle, dtype=float),
+        sc, sc.law, np.ones(n), np.array(u_angle, dtype=float),
         lambda row, values, z: rows.setdefault(row, (values.copy(), z.copy())),
         np.empty((6, n)),
     )

@@ -109,7 +109,8 @@ def test_exact_doppler_raises_below_horizon():
     assert not _exact(0.0, 0.0, sc)[1]
     sink = []
     hidden = montecarlo._batch_magnitudes(
-        sc, np.zeros(1), np.zeros(1), lambda row, v, z: sink.append(v.size), np.empty((6, 1))
+        sc, sc.law, np.zeros(1), np.zeros(1),
+        lambda row, v, z: sink.append(v.size), np.empty((6, 1)),
     )
     assert hidden == 1
     assert sink == [0, 0]
@@ -134,7 +135,7 @@ def test_bound_dominates_exact_per_sample():
         sc = _scenario(rho=150e3, r_hat=300e3, cluster_center_on_track=on_track)
         rows = []
         hidden = montecarlo._batch_magnitudes(
-            sc, rng.random(2000), rng.random(2000),
+            sc, sc.law, rng.random(2000), rng.random(2000),
             lambda row, values, z: rows.append(values.copy()), np.empty((6, 2000)),
         )
         bound, exact = rows
@@ -340,7 +341,7 @@ def _reference_samples(sc: ScenarioConfig):
         u_radius = rng.random(count)
         u_angle = rng.random(count)
         excluded += montecarlo._batch_magnitudes(
-            sc, u_radius, u_angle, lambda row, values, z: rows[row].append(values.copy()),
+            sc, sc.law, u_radius, u_angle, lambda row, values, z: rows[row].append(values.copy()),
             np.empty((6, count)),
         )
     return np.concatenate(rows[0]), np.concatenate(rows[1]), excluded
@@ -536,6 +537,35 @@ def test_peak_memory_flat_in_trial_count():
     small, large = peak_bytes(12_500), peak_bytes(125_000)
     # Holding the 1e6 samples would take 16 MB for the two magnitudes alone.
     assert large <= 1.5 * small
+
+
+def test_counting_a_batch_allocates_less_than_one_row(monkeypatch):
+    # 2^20 users fill 16 batches and reach the 2^16 KS edges. Every user
+    # sees the satellite, so the sink indexes into and compacts onto the
+    # run's own rows and adds to its counts in place; a bin count per batch
+    # alone would take 8 (2^16 + 1) bytes, more than a row.
+    calls = []
+    inner = montecarlo._batch_magnitudes
+
+    def traced(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        hidden = inner(*args)
+        calls.append((hidden, tracemalloc.get_traced_memory()[1] - before, args[-1][0].nbytes))
+        return hidden
+
+    monkeypatch.setattr(montecarlo, "_batch_magnitudes", traced)
+    sc = _scenario(trials=(1 << 20) // 8, grid_points=128)
+    tracemalloc.start()
+    try:
+        run_scenario(sc)
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 16
+    for hidden, allocated, row_bytes in calls:
+        assert hidden == 0
+        assert row_bytes == 8 * montecarlo._BATCH
+        assert allocated < row_bytes, calls
 
 
 @pytest.mark.skipif(
