@@ -70,12 +70,14 @@ def _scalar_or_array(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
-def _lens_angle(rl: np.ndarray, off: float, R: float) -> np.ndarray:
-    # Half-angle at the fixed point of the arc of radius rl inside the disk.
-    # The cosine lies in [-1, 1] by construction, so rounding past it is
-    # clipped; a denominator that underflows to 0 takes the limit, 0.
-    den = 2.0 * off * rl
-    cos = np.divide(rl**2 + off**2 - R**2, den, out=np.zeros_like(rl), where=den > 0.0)
+def _lens_angle(a, off: float, c) -> np.ndarray:
+    """Angle between the sides a and off of a triangle with third side c
+    (a or c an array): the lens half-angle at the fixed point for a = r,
+    c = R, and at the disk centre for a = R, c = r. Rounding past [-1, 1]
+    is clipped; a denominator that underflows to 0 takes the limit, 0."""
+    den = 2.0 * off * a
+    num = a**2 + off**2 - c**2
+    cos = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
     return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
@@ -99,7 +101,7 @@ def disk_distance_cdf(r, d: DiskDistanceDistribution):
     if np.any(lens):
         rl = rr[lens]
         theta = _lens_angle(rl, off, R)
-        phi = np.arccos(np.clip((R**2 + off**2 - rl**2) / (2.0 * off * R), -1.0, 1.0))
+        phi = _lens_angle(R, off, rl)
         area = (rl**2 / (math.pi * R**2)) * (theta - 0.5 * np.sin(2.0 * theta)) + (
             phi - 0.5 * np.sin(2.0 * phi)
         ) / math.pi
@@ -203,15 +205,20 @@ def _distance_of_magnitude(
     return np.divide(num, den, out=num)
 
 
+def _distance_span(dist: DopplerMagnitudeDistribution) -> tuple[float, float]:
+    """Range of planar distances from the sub-satellite point to the disk."""
+    return max(0.0, dist.r_hat - dist.rho), dist.r_hat + dist.rho
+
+
 def doppler_support_max(dist: DopplerMagnitudeDistribution) -> float:
     """Largest supported Doppler magnitude, attained at the far disk edge."""
-    return float(_magnitude_at_distance(dist.r_hat + dist.rho, dist))
+    return float(_magnitude_at_distance(_distance_span(dist)[1], dist))
 
 
 def doppler_support_min(dist: DopplerMagnitudeDistribution) -> float:
     """Smallest supported magnitude; 0 unless the disk excludes the
     sub-satellite point (r_hat > rho)."""
-    return float(_magnitude_at_distance(max(0.0, dist.r_hat - dist.rho), dist))
+    return float(_magnitude_at_distance(_distance_span(dist)[0], dist))
 
 
 def doppler_cdf(x, dist: DopplerMagnitudeDistribution):

@@ -19,7 +19,6 @@ from .geometry import (
     SatelliteConfig,
     _pass_phase,
     angular_velocity_ecf,
-    clamp_unit,
     orbital_radius,
     param_A,
     slant_range,
@@ -150,9 +149,10 @@ def epsilon_accuracy_offsets(
     if remainder > theta:
         return None
     omega_f = angular_velocity_ecf(cfg)
+    # remainder <= theta <= 1 keeps acos's argument in [0, 1]. The branch
+    # is needed: theta^2 underflows below theta ~ 1e-162, giving 0 / 0.
     if epsilon == 1.0:
         inner = 1.0
     else:
         inner = math.sqrt((1.0 - remainder**2 / theta**2) / (1.0 - remainder**2))
-    inner = clamp_unit(inner)
     return math.acos(inner) / omega_f, math.acos(-inner) / omega_f

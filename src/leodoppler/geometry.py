@@ -58,27 +58,6 @@ class BelowHorizonError(Exception):
     """Raised when the satellite is below the local horizon of a user."""
 
 
-def clamp_unit(value):
-    """Clamp an inverse-trig argument to [-1, 1].
-
-    Accepts a scalar or an ndarray. Values within INVERSE_TRIG_CLAMP_TOL
-    outside the interval are clamped; values further out raise ValueError.
-    """
-    arr = np.asarray(value, dtype=float)
-    excess = np.abs(arr) - 1.0
-    # Not np.any/np.max/np.clip: their wrappers dominate scalar callers.
-    if (excess > INVERSE_TRIG_CLAMP_TOL).any():
-        worst = float(excess.max())
-        raise ValueError(
-            f"inverse-trig argument outside [-1, 1] by {worst:.3e} "
-            f"(tolerance {INVERSE_TRIG_CLAMP_TOL:.1e})"
-        )
-    clipped = np.minimum(np.maximum(arr, -1.0), 1.0)
-    if arr.ndim == 0:
-        return float(clipped)
-    return clipped
-
-
 @dataclass(frozen=True)
 class SatelliteConfig:
     """Constellation-independent description of one circular-orbit satellite.
@@ -165,11 +144,12 @@ def _validate_theta(theta: float) -> float:
 
 
 def _slant_of_cos(cos_gamma, cfg: SatelliteConfig, out=None):
-    """Slant range sqrt(r_E^2 + r_o^2 - 2 r_o r_E cos(gamma)) in metres;
+    """Slant range sqrt(h^2 + 2 r_o r_E (1 - cos(gamma))) in metres, which
+    does not cancel: 1 - cos is exact for cos >= 1/2, and cos = 1 gives h.
     out (may be cos_gamma) receives the result."""
-    r_o = orbital_radius(cfg)
-    s = np.multiply(cos_gamma, 2.0 * r_o * cfg.r_e, out=out)
-    s = np.subtract(cfg.r_e**2 + r_o**2, s, out=out)
+    s = np.subtract(1.0, cos_gamma, out=out)
+    s = np.multiply(s, 2.0 * orbital_radius(cfg) * cfg.r_e, out=out)
+    s = np.add(s, cfg.h**2, out=out)
     return np.sqrt(s, out=out)
 
 
@@ -210,7 +190,8 @@ def elevation_from_central_angle(gamma: float, cfg: SatelliteConfig) -> float:
         cfg: Satellite description.
 
     Returns:
-        Elevation angle in radians, in [0, pi/2].
+        Elevation angle in radians, in [0, pi/2], as atan2(r_o cos(gamma)
+        - r_E, r_o sin(gamma)): well conditioned at any angle and altitude.
 
     Raises:
         BelowHorizonError: If r_o * cos(gamma) < r_E, i.e. the satellite is
@@ -223,5 +204,5 @@ def elevation_from_central_angle(gamma: float, cfg: SatelliteConfig) -> float:
         raise BelowHorizonError(
             f"satellite below horizon at central angle {gamma:.6f} rad"
         )
-    vertical = orbital_radius(cfg) * cos_gamma - cfg.r_e
-    return math.asin(clamp_unit(vertical / _slant_of_cos(cos_gamma, cfg)))
+    r_o = orbital_radius(cfg)
+    return math.atan2(r_o * cos_gamma - cfg.r_e, r_o * math.sin(gamma))

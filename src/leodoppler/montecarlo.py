@@ -51,6 +51,7 @@ import numpy as np
 from .distributions import (
     DopplerMagnitudeDistribution,
     _distance_of_magnitude,
+    _distance_span,
     _magnitude_at_distance,
     doppler_cdf,
     doppler_support_max,
@@ -330,11 +331,6 @@ def _batch_magnitudes(
     return hidden
 
 
-def _ks_span(dist: DopplerMagnitudeDistribution) -> tuple[float, float]:
-    """Range of planar distances from the sub-satellite point to the disk."""
-    return max(0.0, dist.r_hat - dist.rho), dist.r_hat + dist.rho
-
-
 def _ks_edges(dist: DopplerMagnitudeDistribution, users: int) -> np.ndarray:
     """Magnitudes at distances spread evenly over the disk's distance range.
 
@@ -343,7 +339,7 @@ def _ks_edges(dist: DopplerMagnitudeDistribution, users: int) -> np.ndarray:
     guards the order against rounding; it is a no-op in practice.
     """
     m = min(_MAX_KS_EDGES, math.ceil(_KS_EDGES_PER_SQRT_N * math.sqrt(users)))
-    z = np.linspace(*_ks_span(dist), m)
+    z = np.linspace(*_distance_span(dist), m)
     return np.sort(_magnitude_at_distance(z, dist, out=z))
 
 
@@ -469,7 +465,7 @@ def run_scenario(
     grid = np.linspace(0.0, grid_top, scenario.grid_points)
     cdf_analytic = np.asarray(doppler_cdf(grid, dist))
     users = scenario.n_users * scenario.trials
-    ks_index = _EdgeIndex(_ks_edges(dist, users), *_ks_span(dist))
+    ks_index = _EdgeIndex(_ks_edges(dist, users), *_distance_span(dist))
     ks_edges = ks_index.edges
     grid_index = _EdgeIndex(grid, 0.0, grid_top)
     # KS bin j is mixed when a grid point lies strictly inside it.

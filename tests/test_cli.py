@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import subprocess
 import sys
 import tempfile
@@ -488,9 +489,14 @@ def test_main_requires_subcommand():
         main([])
 
 
+# Child interpreters find the package from the source tree.
+_CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "leodoppler", "cdf", "--out", str(tmp_path)],
+        env=_CHILD_ENV,
         capture_output=True,
         text=True,
     )
@@ -508,6 +514,7 @@ def test_cli_import_leaves_out_the_thread_pool():
             "import sys, leodoppler.cli; "
             "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))",
         ],
+        env=_CHILD_ENV,
         capture_output=True,
         text=True,
     )

@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leodoppler.doppler import (
     PassGeometry,
@@ -292,6 +294,21 @@ def test_epsilon_window_no_crossing_cases():
     assert epsilon_accuracy_offsets(0.001, 0.95, CFG600) is None
     # On-track pass: the envelope is exact, the error never rises to eps.
     assert epsilon_accuracy_offsets(0.01, 1.0, CFG600) is None
+
+
+_UNIT = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(epsilon=_UNIT, theta=_UNIT)
+# theta^2 underflows to 0 here; epsilon = 1 must not reach the 0 / 0.
+@example(epsilon=1.0, theta=1e-200)
+def test_epsilon_window_is_none_or_an_ordered_finite_pair(epsilon, theta):
+    window = epsilon_accuracy_offsets(epsilon, theta, CFG600)
+    if window is not None:
+        lo, hi = window
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert 0.0 <= lo <= hi
 
 
 def test_epsilon_window_rejects_bad_inputs():

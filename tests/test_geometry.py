@@ -7,7 +7,9 @@ spherical elevation, and algebraic identities where one exists.
 from __future__ import annotations
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from leodoppler.geometry import (
     _slant_of_cos,
     angular_velocity_ecf,
     central_angle,
-    clamp_unit,
     elevation_from_central_angle,
     orbital_radius,
     slant_range,
@@ -53,21 +54,6 @@ def test_speed_of_light_is_exact_si():
     assert SPEED_OF_LIGHT_M_S == 299792458.0
 
 
-# ----------------------------------------------------------- clamp policy ----
-
-def test_clamp_unit_passes_interior_and_clamps_noise():
-    assert clamp_unit(0.5) == 0.5
-    assert clamp_unit(1.0 + 5e-13) == 1.0
-    assert clamp_unit(-1.0 - 5e-13) == -1.0
-
-
-def test_clamp_unit_raises_beyond_tolerance():
-    with pytest.raises(ValueError):
-        clamp_unit(1.0 + 1e-9)
-    with pytest.raises(ValueError):
-        clamp_unit(np.array([0.0, -1.1]))
-
-
 # -------------------------------------------------------- orbital radius ----
 
 def test_orbital_radius_standard_altitudes():
@@ -94,9 +80,22 @@ def test_angular_velocity_polar_orbit_drops_earth_term():
 # ------------------------------------------------------------ slant range ----
 
 def test_slant_range_overhead_closest_approach_is_altitude():
-    # Exact for integer-metre radii: the law of cosines collapses to (r_o - r_E)^2.
+    # At cos(gamma) = 1 the slant is sqrt(h^2), which is h to the bit, from
+    # 1 mm to 1e12 m: no term cancels.
     assert slant_range(0.0, 1.0, CFG600) == 600e3
     assert slant_range(0.0, 1.0, CFG1200) == 1200e3
+    rng = np.random.default_rng(23)
+    for h in np.concatenate(([1e-3, 1e12], 10.0 ** rng.uniform(-3.0, 12.0, 502))):
+        cfg = SatelliteConfig(f_c=2e9, h=float(h), omega_s=1e-3)
+        assert slant_range(0.0, 1.0, cfg) == cfg.h
+
+
+def test_one_millimetre_altitude_overhead_is_regular():
+    cfg = SatelliteConfig(f_c=2e9, h=1e-3, omega_s=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert elevation_from_central_angle(0.0, cfg) == math.pi / 2
+        assert doppler_exact(0.0, PassGeometry(1.0), cfg) == 0.0
 
 
 def test_slant_range_quarter_orbit_is_hypotenuse():
@@ -204,13 +203,32 @@ def test_elevation_rejects_bad_central_angle():
         elevation_from_central_angle(3.2, CFG600)
 
 
+@pytest.mark.parametrize("cfg", [CFG600, CFG1200], ids=["600km", "1200km"])
+def test_elevation_matches_high_precision_reference(cfg):
+    # atan2(r_o cos(gamma) - r_E, r_o sin(gamma)) in 50 digits at the same
+    # float gamma, near overhead and out to 0.95 of the horizon angle.
+    r_o = orbital_radius(cfg)
+    gamma_h = math.acos(cfg.r_e / r_o)
+    gammas = np.concatenate(
+        (np.geomspace(1e-9, 1e-3, 100), np.linspace(1e-3, 0.95 * gamma_h, 100))
+    )
+    with mpmath.workdps(50):
+        r_o_mp = mpmath.mpf(cfg.r_e) + mpmath.mpf(cfg.h)
+        for gamma in gammas:
+            g = mpmath.mpf(float(gamma))
+            exact = mpmath.atan2(r_o_mp * mpmath.cos(g) - cfg.r_e, r_o_mp * mpmath.sin(g))
+            alpha = elevation_from_central_angle(float(gamma), cfg)
+            assert abs(alpha - exact) <= 1e-13 * exact, gamma
+
+
 def test_elevation_matches_cosine_relation():
     # cos(alpha) = r_o sin(gamma) / s on a sweep of visible angles.
     r_o = orbital_radius(CFG600)
     for gamma in np.linspace(1e-4, math.acos(CFG600.r_e / r_o) - 1e-6, 25):
         alpha = elevation_from_central_angle(float(gamma), CFG600)
         s = math.sqrt(CFG600.r_e**2 + r_o**2 - 2.0 * r_o * CFG600.r_e * math.cos(gamma))
-        # abs floor: cos(alpha) near overhead is ill-conditioned through asin
+        # abs floor: near overhead cos(alpha) is small and carries the
+        # absolute rounding of alpha near pi / 2
         assert math.cos(alpha) == pytest.approx(
             r_o * math.sin(gamma) / s, rel=1e-9, abs=1e-10
         )

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from leodoppler import montecarlo
 from leodoppler.distributions import (
     DopplerMagnitudeDistribution,
     _distance_of_magnitude,
+    _distance_span,
     _magnitude_at_distance,
     doppler_cdf,
     doppler_quantile,
@@ -388,7 +390,7 @@ def test_edge_index_equals_searchsorted(r_hat, grid_top):
     top = doppler_support_max(dist) if grid_top is None else grid_top
     grid = np.linspace(0.0, top, 512)
     ks = montecarlo._ks_edges(dist, 10**7)
-    z_lo, z_hi = montecarlo._ks_span(dist)
+    z_lo, z_hi = _distance_span(dist)
     ks_index = montecarlo._EdgeIndex(ks, z_lo, z_hi)
     grid_index = montecarlo._EdgeIndex(grid, 0.0, top)
     a = dist.a
@@ -593,8 +595,13 @@ def test_repeated_threaded_runs_keep_peak_rss():
             with open("/proc/self/status") as fh:
                 print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
     """)
+    src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert result.returncode == 0, result.stderr
     kib = [int(line) for line in result.stdout.split()]
