@@ -192,6 +192,10 @@ def elevation_from_central_angle(gamma: float, cfg: SatelliteConfig) -> float:
     Returns:
         Elevation angle in radians, in [0, pi/2], as atan2(r_o cos(gamma)
         - r_E, r_o sin(gamma)): well conditioned at any angle and altitude.
+        The first argument is taken as h cos(gamma) - 2 r_E sin^2(gamma/2),
+        which keeps h where r_E + h rounds to r_E, and is floored at 0:
+        near the horizon, where the horizon test passes, rounding can make
+        it slightly negative.
 
     Raises:
         BelowHorizonError: If r_o * cos(gamma) < r_E, i.e. the satellite is
@@ -204,5 +208,5 @@ def elevation_from_central_angle(gamma: float, cfg: SatelliteConfig) -> float:
         raise BelowHorizonError(
             f"satellite below horizon at central angle {gamma:.6f} rad"
         )
-    r_o = orbital_radius(cfg)
-    return math.atan2(r_o * cos_gamma - cfg.r_e, r_o * math.sin(gamma))
+    rise = cfg.h * cos_gamma - 2.0 * cfg.r_e * math.sin(0.5 * gamma) ** 2
+    return math.atan2(max(rise, 0.0), orbital_radius(cfg) * math.sin(gamma))

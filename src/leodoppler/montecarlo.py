@@ -274,20 +274,19 @@ def _batch_magnitudes(
     dist: DopplerMagnitudeDistribution,
     u_radius: np.ndarray,
     u_angle: np.ndarray,
-    sink,
     work: np.ndarray,
-) -> int:
-    """Hand a batch's magnitudes over visible users to sink(row, values, z).
+) -> np.ndarray:
+    """Write a batch's magnitudes into work's rows; return who is visible.
 
-    dist is scenario.law. Row 1 holds the envelope magnitudes and goes
-    first, row 0 the exact ones. z holds, for each value, the planar
-    distance at which the envelope takes it: the user's own distance to
-    the sub-satellite point in row 1, the inverse map of the value in row
-    0. sink may overwrite z, and work's rows 4 and 5, which are free while
-    it runs; values and z stay valid only until sink returns. work is a
-    (6, >= batch) float array; it, u_radius and u_angle are overwritten.
-    The draws may be work's rows 4 and 5, which the disk map reads first.
-    Returns the number of users that could not see the satellite.
+    dist is scenario.law and work is a (6, >= batch) float array. Over
+    the batch's first n entries, row 0 then holds the exact magnitudes and
+    row 1 the planar distance at which the envelope takes each of them
+    (its inverse map); row 3 holds the envelope magnitudes and row 2 each
+    user's own distance to the sub-satellite point. Rows 4 and 5 are free.
+    The draws may be rows 4 and 5, which the disk map reads first; they,
+    u_radius and u_angle are overwritten. The returned boolean mask is
+    True for users that see the satellite; the others' values are
+    meaningless.
     """
     n = u_radius.size
     cfg = scenario.cfg
@@ -317,18 +316,13 @@ def _batch_magnitudes(
     np.sqrt(s, out=s)
     s *= theta
     visible = _above_horizon(s, cfg, work=scratch)
-    hidden = n - int(np.count_nonzero(visible))
     chi = _shift(sin_phase, theta, _slant_of_cos(s, cfg, out=s), cfg, out=sin_phase)
     np.abs(chi, out=chi)
     # An exact magnitude at or above A has no distance; the NaN it gets
     # only makes the index search for that value.
     with np.errstate(invalid="ignore", divide="ignore"):
-        z_chi = _distance_of_magnitude(chi, dist, out=theta, work=s)
-    for row, values, at in ((1, bound, z), (0, chi, z_chi)):
-        if hidden:
-            values, at = values[visible], at[visible]
-        sink(row, values, at)
-    return hidden
+        _distance_of_magnitude(chi, dist, out=theta, work=s)
+    return visible
 
 
 def _ks_edges(dist: DopplerMagnitudeDistribution, users: int) -> np.ndarray:
@@ -384,47 +378,6 @@ class _EdgeIndex:
         if miss.size:
             j[miss] = np.searchsorted(self.edges, values[miss], side="left")
         return j
-
-
-def _count_chunks(
-    scenario: ScenarioConfig,
-    dist: DopplerMagnitudeDistribution,
-    ks: _EdgeIndex,
-    grid: _EdgeIndex,
-    mixed: np.ndarray,
-    jobs: list,
-    rows: np.ndarray,
-    ks_acc: np.ndarray,
-    grid_acc: np.ndarray,
-) -> int:
-    """Add per-bin counts of the KS edges to ks_acc and, for values in mixed
-    KS bins, of the grid to grid_acc (rows: exact, envelope), over some
-    chunks; return the exclusions. rows (6, >= batch) are the worker's
-    float rows, which every batch overwrites: the draws go to rows 4 and
-    5, which then hold the mixed values and, as intp, the bin indices. A
-    batch with every user visible allocates only masks, under one row.
-    """
-    # An int32 one keeps np.add.at on its fast loop; a Python 1 is 25x slower.
-    values_out, bins, one = rows[4], rows[5].view(np.intp), np.int32(1)
-
-    def add_counts(row: int, values: np.ndarray, z: np.ndarray) -> None:
-        j = ks(values, z, bins)
-        np.add.at(ks_acc[row], j, one)
-        inside = np.take(mixed, j)
-        n_mixed = np.count_nonzero(inside)
-        if n_mixed:
-            # The mixed values (in rows[4] unless all are mixed), and a copy
-            # in z (free again) that the grid index overwrites with guesses.
-            if n_mixed < values.size:
-                values = np.compress(inside, values, out=values_out[:n_mixed])
-            c = z[:n_mixed]
-            np.copyto(c, values)
-            np.add.at(grid_acc[row], grid(values, c, bins), one)
-
-    excluded = 0
-    for u_radius, u_angle in _uniform_batches(jobs, scenario.n_users, rows[4], rows[5]):
-        excluded += _batch_magnitudes(scenario, dist, u_radius, u_angle, add_counts, rows)
-    return excluded
 
 
 def _ks_upper(cum: np.ndarray, n: int, cdf: np.ndarray) -> float:
@@ -489,9 +442,47 @@ def run_scenario(
     grid_acc = np.zeros((workers, 2, grid.size + 1), dtype=np.int32)
 
     def count(w: int) -> int:
-        return _count_chunks(
-            scenario, dist, ks_index, grid_index, mixed, shares[w], rows[w], ks_acc[w], grid_acc[w]
-        )
+        """Add worker w's per-bin counts of the KS edges to ks_acc[w] and,
+        for values in mixed KS bins, of the grid to grid_acc[w] (rows:
+        exact, envelope), over its chunks; return its exclusions. Its float
+        rows are rewritten by every batch: the draws go to rows 4 and 5,
+        which then hold the mixed values and, as intp, the bin indices. A
+        batch with every user visible allocates only masks, under one row.
+        """
+        work, ks_counts, grid_counts = rows[w], ks_acc[w], grid_acc[w]
+        # An int32 one keeps np.add.at on its fast loop; a Python 1 is 25x slower.
+        values_out, bins, one = work[4], work[5].view(np.intp), np.int32(1)
+
+        def add_counts(
+            row: int, values: np.ndarray, z: np.ndarray, visible: np.ndarray | None
+        ) -> None:
+            # Compacted here, so that the copies go before the next batch.
+            if visible is not None:
+                values, z = values[visible], z[visible]
+            j = ks_index(values, z, bins)
+            np.add.at(ks_counts[row], j, one)
+            inside = np.take(mixed, j)
+            n_mixed = np.count_nonzero(inside)
+            if n_mixed:
+                # The mixed values (in row 4 unless all are mixed), and a
+                # copy in z (free again) that the grid index overwrites
+                # with guesses.
+                if n_mixed < values.size:
+                    values = np.compress(inside, values, out=values_out[:n_mixed])
+                c = z[:n_mixed]
+                np.copyto(c, values)
+                np.add.at(grid_counts[row], grid_index(values, c, bins), one)
+
+        excluded = 0
+        for u_radius, u_angle in _uniform_batches(shares[w], scenario.n_users, work[4], work[5]):
+            n = u_radius.size
+            visible = _batch_magnitudes(scenario, dist, u_radius, u_angle, work)
+            hidden = n - int(np.count_nonzero(visible))
+            excluded += hidden
+            mask = visible if hidden else None
+            add_counts(1, work[3, :n], work[2, :n], mask)
+            add_counts(0, work[0, :n], work[1, :n], mask)
+        return excluded
 
     if workers == 1:
         excluded = count(0)

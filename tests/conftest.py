@@ -44,4 +44,4 @@ def no_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("validation should have failed before sampling")
 
-    monkeypatch.setattr(montecarlo, "_count_chunks", refuse)
+    monkeypatch.setattr(montecarlo, "_uniform_batches", refuse)

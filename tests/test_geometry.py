@@ -12,6 +12,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leodoppler import montecarlo
 from leodoppler.distributions import DopplerMagnitudeDistribution, _magnitude_at_distance
@@ -22,6 +24,7 @@ from leodoppler.geometry import (
     BelowHorizonError,
     PlanarPoint,
     SatelliteConfig,
+    _above_horizon,
     _slant_of_cos,
     angular_velocity_ecf,
     central_angle,
@@ -203,15 +206,27 @@ def test_elevation_rejects_bad_central_angle():
         elevation_from_central_angle(3.2, CFG600)
 
 
-@pytest.mark.parametrize("cfg", [CFG600, CFG1200], ids=["600km", "1200km"])
+CFG1M = SatelliteConfig(f_c=2e9, h=1.0, omega_s=1.1e-3)
+CFG1MM = SatelliteConfig(f_c=2e9, h=1e-3, omega_s=1.1e-3)
+
+
+@pytest.mark.parametrize(
+    "cfg", [CFG600, CFG1200, CFG1M, CFG1MM], ids=["600km", "1200km", "1m", "1mm"]
+)
 def test_elevation_matches_high_precision_reference(cfg):
     # atan2(r_o cos(gamma) - r_E, r_o sin(gamma)) in 50 digits at the same
-    # float gamma, near overhead and out to 0.95 of the horizon angle.
+    # float gamma, near overhead and out to 0.95 of the horizon angle. At
+    # 1 m and 1 mm the horizon angle is 6e-4 and 2e-5 rad, so gamma runs
+    # from 1e-3 to 0.95 of it there; r_E + h keeps only about 9 and 6 of
+    # h's digits, which r_o cos(gamma) - r_E would carry over.
     r_o = orbital_radius(cfg)
     gamma_h = math.acos(cfg.r_e / r_o)
-    gammas = np.concatenate(
-        (np.geomspace(1e-9, 1e-3, 100), np.linspace(1e-3, 0.95 * gamma_h, 100))
-    )
+    if cfg.h >= 1e3:
+        gammas = np.concatenate(
+            (np.geomspace(1e-9, 1e-3, 100), np.linspace(1e-3, 0.95 * gamma_h, 100))
+        )
+    else:
+        gammas = np.geomspace(1e-3 * gamma_h, 0.95 * gamma_h, 200)
     with mpmath.workdps(50):
         r_o_mp = mpmath.mpf(cfg.r_e) + mpmath.mpf(cfg.h)
         for gamma in gammas:
@@ -219,6 +234,40 @@ def test_elevation_matches_high_precision_reference(cfg):
             exact = mpmath.atan2(r_o_mp * mpmath.cos(g) - cfg.r_e, r_o_mp * mpmath.sin(g))
             alpha = elevation_from_central_angle(float(gamma), cfg)
             assert abs(alpha - exact) <= 1e-13 * exact, gamma
+
+
+def test_elevation_overhead_keeps_altitude_lost_in_orbital_radius():
+    # r_E + h rounds to r_E, yet the satellite is h above an overhead user.
+    cfg = SatelliteConfig(
+        f_c=1.0, h=1e-3, omega_s=SPEED_OF_LIGHT_M_S / 1e14, omega_e=0.0, r_e=1e14
+    )
+    assert orbital_radius(cfg) == cfg.r_e
+    assert elevation_from_central_angle(0.0, cfg) == math.pi / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_r_e=st.floats(-3.0, 150.0),
+    log_h=st.floats(-3.0, 150.0),
+    log_offset=st.floats(-17.0, 0.0),
+    outside=st.booleans(),
+)
+# At the float horizon angle of r_E = 10 m, h = 1 m the test passes and
+# h cos(gamma) - 2 r_E sin^2(gamma / 2) rounds to -3e-16 m.
+@example(log_r_e=1.0, log_h=0.0, log_offset=-17.0, outside=False)
+def test_elevation_in_range_wherever_horizon_test_passes(log_r_e, log_h, log_offset, outside):
+    r_e, h = 10.0**log_r_e, 10.0**log_h
+    r_o = r_e + h
+    cfg = SatelliteConfig(
+        f_c=1.0, h=h, omega_s=SPEED_OF_LIGHT_M_S / r_o, omega_e=0.0, r_e=r_e
+    )
+    offset = 10.0**log_offset
+    gamma = math.acos(r_e / r_o) * (1.0 + offset if outside else 1.0 - offset)
+    if not _above_horizon(math.cos(gamma), cfg):
+        with pytest.raises(BelowHorizonError):
+            elevation_from_central_angle(gamma, cfg)
+        return
+    assert 0.0 <= elevation_from_central_angle(gamma, cfg) <= math.pi / 2
 
 
 def test_elevation_matches_cosine_relation():
@@ -285,19 +334,18 @@ def _mapped_users(
     """Exact magnitudes and planar distances that _batch_magnitudes gives
     users on the rim of the disk at the given angle fractions (quarter
     turns land exactly on the axes), sub-satellite point at (r_hat, 0), or
-    at (0, r_hat) when not on_track."""
+    at (0, r_hat) when not on_track. Every user must see the satellite."""
     sc = montecarlo.ScenarioConfig(
         cfg=cfg, rho=rho, r_hat=r_hat, n_users=1, trials=1, seed=0,
         cluster_center_on_track=on_track,
     )
-    rows = {}
     n = len(u_angle)
-    montecarlo._batch_magnitudes(
-        sc, sc.law, np.ones(n), np.array(u_angle, dtype=float),
-        lambda row, values, z: rows.setdefault(row, (values.copy(), z.copy())),
-        np.empty((6, n)),
+    work = np.empty((6, n))
+    visible = montecarlo._batch_magnitudes(
+        sc, sc.law, np.ones(n), np.array(u_angle, dtype=float), work
     )
-    return rows[0][0], rows[1][1]
+    assert np.all(visible)
+    return work[0], work[2]
 
 
 def _pass_shift(psi: float, beta: float, cfg: SatelliteConfig) -> float:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from leodoppler import montecarlo
@@ -109,13 +109,10 @@ def test_exact_doppler_raises_below_horizon():
     # The user is hidden, and run_scenario excludes it.
     sc = _scenario(r_hat=3.5e6, rho=1e3)
     assert not _exact(0.0, 0.0, sc)[1]
-    sink = []
-    hidden = montecarlo._batch_magnitudes(
-        sc, sc.law, np.zeros(1), np.zeros(1),
-        lambda row, v, z: sink.append(v.size), np.empty((6, 1)),
+    visible = montecarlo._batch_magnitudes(
+        sc, sc.law, np.zeros(1), np.zeros(1), np.empty((6, 1))
     )
-    assert hidden == 1
-    assert sink == [0, 0]
+    assert visible.tolist() == [False]
 
 
 def test_bound_doppler_at_subsatellite_point_is_zero():
@@ -135,14 +132,12 @@ def test_bound_dominates_exact_per_sample():
     rng = np.random.default_rng(99)
     for on_track in (True, False):
         sc = _scenario(rho=150e3, r_hat=300e3, cluster_center_on_track=on_track)
-        rows = []
-        hidden = montecarlo._batch_magnitudes(
-            sc, sc.law, rng.random(2000), rng.random(2000),
-            lambda row, values, z: rows.append(values.copy()), np.empty((6, 2000)),
+        work = np.empty((6, 2000))
+        visible = montecarlo._batch_magnitudes(
+            sc, sc.law, rng.random(2000), rng.random(2000), work
         )
-        bound, exact = rows
-        assert hidden == 0
-        assert exact.size == 2000
+        assert np.all(visible)
+        exact, bound = work[0], work[3]
         assert np.all(exact <= bound)
 
 
@@ -342,10 +337,11 @@ def _reference_samples(sc: ScenarioConfig):
         count = trials * sc.n_users
         u_radius = rng.random(count)
         u_angle = rng.random(count)
-        excluded += montecarlo._batch_magnitudes(
-            sc, sc.law, u_radius, u_angle, lambda row, values, z: rows[row].append(values.copy()),
-            np.empty((6, count)),
-        )
+        work = np.empty((6, count))
+        visible = montecarlo._batch_magnitudes(sc, sc.law, u_radius, u_angle, work)
+        excluded += count - int(np.count_nonzero(visible))
+        rows[0].append(work[0][visible])
+        rows[1].append(work[3][visible])
     return np.concatenate(rows[0]), np.concatenate(rows[1]), excluded
 
 
@@ -499,6 +495,15 @@ def test_reported_ks_brackets_exact_statistic(overrides, x_max):
     on_track=st.booleans(),
     threads=st.integers(1, 2),
 )
+# Some users below the horizon, so that the worker compacts both rows.
+@example(
+    rho=1e5, r_hat=2.6e6, x_max=1.2e5, grid_points=64, n_users=8, trials=150,
+    on_track=True, threads=2,
+)
+@example(
+    rho=1e5, r_hat=2.6e6, x_max=None, grid_points=64, n_users=8, trials=150,
+    on_track=False, threads=1,
+)
 def test_report_equals_reference_built_from_samples(
     rho, r_hat, x_max, grid_points, n_users, trials, on_track, threads
 ):
@@ -541,31 +546,35 @@ def test_peak_memory_flat_in_trial_count():
     assert large <= 1.5 * small
 
 
-def test_counting_a_batch_allocates_less_than_one_row(monkeypatch):
+@pytest.mark.parametrize("on_track", [True, False], ids=["on_track", "cross_track"])
+def test_counting_a_batch_allocates_less_than_one_row(monkeypatch, on_track):
     # 2^20 users fill 16 batches and reach the 2^16 KS edges. Every user
-    # sees the satellite, so the sink indexes into and compacts onto the
+    # sees the satellite, so the worker indexes into and compacts onto the
     # run's own rows and adds to its counts in place; a bin count per batch
-    # alone would take 8 (2^16 + 1) bytes, more than a row.
+    # alone would take 8 (2^16 + 1) bytes, more than a row. Cross-track,
+    # every exact value lies in a mixed KS bin, so none is compacted. Each
+    # batch is measured from its draw to the next, over the transform and
+    # the counting.
     calls = []
-    inner = montecarlo._batch_magnitudes
+    inner = montecarlo._uniform_batches
 
-    def traced(*args):
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        hidden = inner(*args)
-        calls.append((hidden, tracemalloc.get_traced_memory()[1] - before, args[-1][0].nbytes))
-        return hidden
+    def traced(jobs, n_users, radius, angle):
+        for batch in inner(jobs, n_users, radius, angle):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            yield batch
+            calls.append((tracemalloc.get_traced_memory()[1] - before, radius.nbytes))
 
-    monkeypatch.setattr(montecarlo, "_batch_magnitudes", traced)
-    sc = _scenario(trials=(1 << 20) // 8, grid_points=128)
+    monkeypatch.setattr(montecarlo, "_uniform_batches", traced)
+    sc = _scenario(trials=(1 << 20) // 8, grid_points=128, cluster_center_on_track=on_track)
     tracemalloc.start()
     try:
-        run_scenario(sc)
+        report = run_scenario(sc)
     finally:
         tracemalloc.stop()
+    assert report.excluded == 0
     assert len(calls) == 16
-    for hidden, allocated, row_bytes in calls:
-        assert hidden == 0
+    for allocated, row_bytes in calls:
         assert row_bytes == 8 * montecarlo._BATCH
         assert allocated < row_bytes, calls
 
