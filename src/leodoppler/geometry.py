@@ -154,9 +154,14 @@ def _slant_of_cos(cos_gamma, cfg: SatelliteConfig, out=None):
 
 
 def _above_horizon(cos_gamma, cfg: SatelliteConfig, work=None):
-    """True where r_o cos(gamma) >= r_E, i.e. the satellite is at or above
-    the user's horizon. work, if given, receives r_o cos(gamma)."""
-    return np.multiply(orbital_radius(cfg), cos_gamma, out=work) >= cfg.r_e
+    """True where r_o cos(gamma) >= r_E to within 2^-43 h: cos >= (1 - cos)
+    r_E / h, which keeps h where r_E + h rounds to r_E, with r_E / h shrunk
+    by 2^-44 so that for h >= r_E / 500 the float nearest r_E / r_o passes
+    even below it. work, if given, receives the right-hand side."""
+    k = cfg.r_e / cfg.h * (1.0 - 2.0**-44)
+    if work is None:
+        return cos_gamma >= (1.0 - cos_gamma) * k
+    return cos_gamma >= np.multiply(np.subtract(1.0, cos_gamma, out=work), k, out=work)
 
 
 def slant_range(dt: float, theta: float, cfg: SatelliteConfig) -> float:

@@ -10,8 +10,9 @@ of the exact shift and of the planar envelope against the analytic CDF
 quantifies both Monte Carlo agreement and the envelope's pessimism.
 
 Sampling is split into fixed chunks with independent child seeds; each
-worker thread takes every k-th chunk. A worker draws its chunks' users in
-batches of at most 2^16 and counts each batch at once into the bins of up
+of k workers takes every k-th chunk, worker 0 on the calling thread and
+the others on k - 1 started threads. A worker draws its chunks' users in
+batches of at most 2^15 and counts each batch at once into the bins of up
 to 2^16 KS edges, spread evenly in planar distance over the cluster; a
 sample whose KS bin is mixed (holds a grid point strictly inside) is also
 counted in its report grid bin. Both families are evenly spaced in a known
@@ -23,12 +24,11 @@ Once per run, each grid column is the unmixed KS bins up to the grid point
 plus the mixed bins' grid counts up to it. Integer sums do not depend on
 their order, so results are identical for any worker count, and memory is
 O(edges + batch) whatever the number of users: each worker holds six
-float rows of its batch length (3 MiB at 2^16), the draws in two of them,
-and int32 counts, and run_scenario allocates them all before any worker
-starts, so that glibc's per-thread arenas do not keep them. The grid
-columns are exact.
-The KS distances are upper bounds from the counts and the analytic CDF at
-the edges, above the exact statistic by at most one bin's mass.
+float rows of its batch length (1.5 MiB at 2^15) and int32 counts, all
+allocated before any worker starts, and no pass after sampling holds
+more than the freed rows. The grid columns are exact. The KS distances
+are upper bounds from the counts and the analytic CDF at the edges, above
+the exact statistic by at most one bin's mass.
 
 Users' positions come from the disk map shared with pointprocess, and
 their distances to the sub-satellite point are sqrt(x^2 + y^2). A user
@@ -36,15 +36,14 @@ costs three libm calls: the disk map's sine, the cosine of the
 cross-track angle and the sine of the along-track phase. The other
 cosines are sqrt(1 - sin^2), accurate because the quarter turn and the
 validity radius keep both angles within pi / 4, and the envelope's slant
-is sqrt(z^2 + h^2). Against cos/sin of the full angles and hypot,
-per-user magnitudes differ in the last bits only; every CLI output file
-stayed byte-identical.
+is sqrt(z^2 + h^2).
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from threading import Thread
 
 import numpy as np
 
@@ -65,12 +64,11 @@ from .pointprocess import _disk_points
 # depend on the number of workers.
 _N_CHUNKS = 64
 
-# Users drawn and binned at once. Each worker reuses six float64 rows of
-# this length (3 MiB at 2^16) for all its batches.
-# Every numpy call covers a whole batch, which keeps the per-call overhead
-# and the threads' waits for the interpreter lock between calls small:
-# 2^15 was about 9 % slower on 2 threads.
-_BATCH = 1 << 16
+# Users drawn and binned at once; each worker reuses six float64 rows of
+# this length. At 1e7 users on 2 threads, 2^15 took 3.3 MiB less peak RSS
+# than 2^16 and about 8 % more wall time, as more numpy calls per user
+# mean more waits for the interpreter lock; 2^14 was 35-45 % slower.
+_BATCH = 1 << 15
 
 # The KS edges number ceil(64 sqrt(n)) for n users, at most 2^16: enough to
 # keep the bracket far inside the sampling error 1/sqrt(n), few enough that
@@ -385,12 +383,12 @@ def _ks_upper(cum: np.ndarray, n: int, cdf: np.ndarray) -> float:
 
     cum[j] samples lie at or below edge j and cdf[j] is F there. Between
     two edges both laws are monotone, so with C_j = cum[j] / n padded by 0
-    and 1 outside the edges the bound is
+    and 1 outside the edges (terms taken alone, not copied) the bound is
     max_j max(C_j - F_{j-1}, F_j - C_{j-1}).
     """
-    emp = np.concatenate(([0.0], cum / n, [1.0]))
-    law = np.concatenate(([0.0], cdf, [1.0]))
-    return float(max(np.max(emp[1:] - law[:-1]), np.max(law[1:] - emp[:-1])))
+    emp = cum / n
+    above = max(emp[0], np.max(emp[1:] - cdf[:-1]), 1.0 - cdf[-1])
+    return float(max(above, cdf[0], np.max(cdf[1:] - emp[:-1]), 1.0 - emp[-1]))
 
 
 def run_scenario(
@@ -402,8 +400,8 @@ def run_scenario(
 
     Args:
         scenario: Frozen serving scene.
-        threads: Worker threads; any value yields identical results. At most
-            one thread per chunk is started.
+        threads: Workers, at most one per chunk; any value yields identical
+            results. The first runs on the calling thread.
         x_max: Upper grid limit in Hz; defaults to the analytic support top.
 
     Returns:
@@ -429,11 +427,9 @@ def run_scenario(
     workers = min(int(threads), len(jobs))
     shares = [jobs[w::workers] for w in range(workers)]
     # Every worker's batch rows and counts, allocated here before any
-    # worker starts. Allocated per batch, rows cost 5e4-1e5 page faults per
-    # 1e7 users. Allocated in the worker thread, they came from glibc's
-    # per-thread arenas, which keep their pages after the run: at 1e6 users
-    # on 2 threads, peak RSS grew by about 5 MiB from the first of four runs
-    # to the last; allocated here, by about 1 MiB. A worker whose share is
+    # worker starts: per batch, rows cost 5e4-1e5 page faults per 1e7
+    # users, and in a started thread they came from glibc's per-thread
+    # arenas, which keep their pages after the run. A worker whose share is
     # smaller uses the leading part of its rows. Counts are int32: none
     # exceeds MAX_USERS < 2^31.
     batch = max(_batch_size(share, scenario.n_users) for share in shares)
@@ -444,11 +440,9 @@ def run_scenario(
     def count(w: int) -> int:
         """Add worker w's per-bin counts of the KS edges to ks_acc[w] and,
         for values in mixed KS bins, of the grid to grid_acc[w] (rows:
-        exact, envelope), over its chunks; return its exclusions. Its float
-        rows are rewritten by every batch: the draws go to rows 4 and 5,
-        which then hold the mixed values and, as intp, the bin indices. A
-        batch with every user visible allocates only masks, under one row.
-        """
+        exact, envelope); return its exclusions. Each batch's draws go to
+        rows 4 and 5, later the mixed values and, as intp, the bin indices.
+        A batch with every user visible allocates only masks, under a row."""
         work, ks_counts, grid_counts = rows[w], ks_acc[w], grid_acc[w]
         # An int32 one keeps np.add.at on its fast loop; a Python 1 is 25x slower.
         values_out, bins, one = work[4], work[5].view(np.intp), np.int32(1)
@@ -484,15 +478,24 @@ def run_scenario(
             add_counts(0, work[0, :n], work[1, :n], mask)
         return excluded
 
-    if workers == 1:
-        excluded = count(0)
-    else:
-        # Imported here: concurrent.futures pulls in logging, about 10 ms
-        # of start-up that the single-curve CLI commands never need.
-        from concurrent.futures import ThreadPoolExecutor
+    # Worker 0 runs on the calling thread; errors are raised after the joins.
+    exclusions, errors = [0] * workers, []
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            excluded = sum(pool.map(count, range(workers)))
+    def run(w: int) -> None:
+        try:
+            exclusions[w] = count(w)
+        except BaseException as exc:
+            errors.append(exc)
+
+    started = [Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in started:
+        thread.start()
+    run(0)
+    for thread in started:
+        thread.join()
+    if errors:
+        raise errors[0]
+    excluded = sum(exclusions)
     # Freed before the CDF pass at the KS edges, which can reuse the memory.
     del rows
     ks_counts, grid_counts = (acc.sum(axis=0, dtype=np.int32) for acc in (ks_acc, grid_acc))
@@ -501,8 +504,8 @@ def run_scenario(
     n = users - excluded
     # Samples at or below grid point g: the unmixed KS bins' up to the last
     # KS edge <= g (below[:, i] sums those before bin i) plus the grid
-    # counts up to g. Tables as large as the KS edges, but for the edges
-    # and their counts, go before the CDF pass.
+    # counts up to g. Of the tables this large, only the KS edges and
+    # counts outlive this step.
     below = np.zeros((2, ks_edges.size + 2), dtype=np.int32)
     np.multiply(ks_counts, ~mixed, out=below[:, 1:])
     np.cumsum(below, axis=1, dtype=np.int32, out=below)
@@ -510,7 +513,10 @@ def run_scenario(
     cum_grid += np.cumsum(grid_counts[:, :-1], axis=1, dtype=np.int32)
     del below, mixed, padded, ks_index, grid_index, ks_acc, grid_acc
     cum_ks = np.cumsum(ks_counts, axis=1, dtype=np.int32, out=ks_counts)[:, :-1]
-    ks_cdf = np.asarray(doppler_cdf(ks_edges, dist))
+    # In slices: over all 2^16 edges, doppler_cdf's temporaries would set the peak.
+    ks_cdf, step = np.empty_like(ks_edges), _BATCH // 8
+    for lo in range(0, ks_edges.size, step):
+        ks_cdf[lo : lo + step] = doppler_cdf(ks_edges[lo : lo + step], dist)
     cdf_emp_exact = cum_grid[0] / n
     gate = 3.0 * np.sqrt(cdf_analytic * (1.0 - cdf_analytic) / n)
     violations = int(np.sum(cdf_analytic > cdf_emp_exact + gate))

@@ -1,40 +1,33 @@
 """Shared fixtures."""
 from __future__ import annotations
 
-import concurrent.futures
-
 import pytest
 
 from leodoppler import montecarlo
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace run_scenario's thread pool with one that runs tasks inline.
+def started_threads(monkeypatch):
+    """Replace the threads run_scenario starts with ones that run inline.
 
-    Returns the list of max_workers values the pools were created with, so
-    a test can check how many threads would have started without starting
-    any.
+    Returns the list of threads started, so a test can check how many
+    would have run without starting any.
     """
-    sizes = []
+    started = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class InlineThread:
+        def __init__(self, target, args):
+            self._target, self._args = target, args
 
-        def __enter__(self):
-            return self
+        def start(self):
+            started.append(self)
+            self._target(*self._args)
 
-        def __exit__(self, *exc_info):
-            return False
+        def join(self):
+            pass
 
-        def map(self, fn, *iterables):
-            return list(map(fn, *iterables))
-
-    # run_scenario imports the pool class from concurrent.futures when it
-    # needs one, so the class is replaced there.
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
-    return sizes
+    monkeypatch.setattr(montecarlo, "Thread", InlineThread)
+    return started
 
 
 @pytest.fixture

@@ -426,10 +426,11 @@ def test_main_rejects_oversized_and_non_finite_values(
     assert message in capsys.readouterr().err
 
 
-def test_main_caps_threads_at_chunk_count(tmp_path, capsys, pool_sizes):
+def test_main_caps_threads_at_chunk_count(tmp_path, capsys, started_threads):
+    # 64 chunks: 63 started threads and the calling one.
     code = main(["simulate", "--threads", "1000000", "--out", str(tmp_path / "many")])
     assert code == EXIT_OK
-    assert pool_sizes == [64]
+    assert len(started_threads) == 63
     assert main(["simulate", "--out", str(tmp_path / "one")]) == EXIT_OK
     for name in ("simulate_report.csv", "simulate_summary.txt"):
         assert (tmp_path / "many" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
@@ -505,8 +506,8 @@ def test_module_entry_point(tmp_path):
 
 
 def test_cli_import_leaves_out_the_thread_pool():
-    # Only a multi-threaded run_scenario needs concurrent.futures, which
-    # also imports logging; cdf, pdf and order-stats should not pay for it.
+    # run_scenario starts plain threads, so no command pays for
+    # concurrent.futures, which also imports logging.
     result = subprocess.run(
         [
             sys.executable,

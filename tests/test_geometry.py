@@ -12,7 +12,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leodoppler import montecarlo
@@ -268,6 +268,59 @@ def test_elevation_in_range_wherever_horizon_test_passes(log_r_e, log_h, log_off
             elevation_from_central_angle(gamma, cfg)
         return
     assert 0.0 <= elevation_from_central_angle(gamma, cfg) <= math.pi / 2
+
+
+_SCALES_M = st.floats(-3.0, 150.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r_e=_SCALES_M, h=_SCALES_M, fraction=st.floats(0.98, 1.02))
+# r_E + h rounds to r_E; 2 % past the horizon angle cos(gamma) still
+# rounds to 1, where the rise is h.
+@example(r_e=1e14, h=1e-3, fraction=1.02)
+# r_E + h rounds up by 2.3e121 m, so r_o cos(gamma) >= r_E passed users
+# whose rise is -5.4e-3 h.
+@example(r_e=4.2e137, h=3.2e123, fraction=0.9991)
+def test_horizon_test_follows_exact_rise(r_e, h, fraction):
+    # Against r_o cos(gamma) - r_E in 60 digits at the float cos(gamma),
+    # for gamma within 2 % of the horizon angle 2 asin(sqrt(h / 2 r_o)):
+    # users with a rise of 0 or more see the satellite, users with a rise
+    # below -2^-43 h do not, in the scalar call and in the Monte Carlo
+    # kernel's call on a row alike.
+    cfg = SatelliteConfig(
+        f_c=1.0, h=h, omega_s=SPEED_OF_LIGHT_M_S / (r_e + h), omega_e=0.0, r_e=r_e
+    )
+    with mpmath.workdps(60):
+        r_o = mpmath.mpf(r_e) + mpmath.mpf(h)
+        gamma = float(fraction * 2 * mpmath.asin(mpmath.sqrt(mpmath.mpf(h) / (2 * r_o))))
+        cos_gamma = math.cos(gamma)
+        rise = r_o * mpmath.mpf(cos_gamma) - mpmath.mpf(r_e)
+        visible = bool(_above_horizon(cos_gamma, cfg))
+        assert _above_horizon(np.array([cos_gamma]), cfg, work=np.empty(1))[0] == visible
+        if rise >= 0:
+            assert visible, float(rise / h)
+        elif rise < -(2.0**-43) * h:
+            assert not visible, float(rise / h)
+    if visible:
+        assert 0.0 <= elevation_from_central_angle(gamma, cfg) <= math.pi / 2
+    else:
+        with pytest.raises(BelowHorizonError):
+            elevation_from_central_angle(gamma, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r_e=_SCALES_M, ratio=st.floats(1 / 500, 1e3))
+def test_nearest_float_to_horizon_cosine_is_visible(r_e, ratio):
+    # r_E / r_o rounded to nearest, even where it rounds below the horizon
+    # cosine, as acos(r_E / r_o) does at 600 km.
+    h = r_e * ratio
+    assume(1e-3 <= h <= 1e150)
+    cfg = SatelliteConfig(
+        f_c=1.0, h=h, omega_s=SPEED_OF_LIGHT_M_S / (r_e + h), omega_e=0.0, r_e=r_e
+    )
+    with mpmath.workdps(60):
+        cos_h = float(mpmath.mpf(r_e) / (mpmath.mpf(r_e) + mpmath.mpf(h)))
+    assert _above_horizon(cos_h, cfg)
 
 
 def test_elevation_matches_cosine_relation():

@@ -14,6 +14,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -316,14 +317,28 @@ def test_run_scenario_caps_grid_before_sampling(no_sampling):
         run_scenario(_scenario(grid_points=MAX_GRID_POINTS + 1))
 
 
-def test_run_scenario_caps_threads_at_chunk_count(pool_sizes):
+def test_run_scenario_caps_threads_at_chunk_count(started_threads):
+    # One worker per chunk; worker 0 runs on the calling thread.
     sc = _scenario(trials=10, grid_points=64)
     report = run_scenario(sc, threads=10**6)
-    assert pool_sizes == [10]
+    assert len(started_threads) == 9
     single = run_scenario(sc, threads=1)
-    assert pool_sizes == [10]
+    assert len(started_threads) == 9
     assert np.array_equal(report.cdf_emp_exact, single.cdf_emp_exact)
     assert report.ks_exact == single.ks_exact
+
+
+def test_run_scenario_raises_a_started_threads_error(monkeypatch):
+    inner = montecarlo._batch_magnitudes
+
+    def fail_off_the_calling_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("worker 1")
+        return inner(*args)
+
+    monkeypatch.setattr(montecarlo, "_batch_magnitudes", fail_off_the_calling_thread)
+    with pytest.raises(MemoryError, match="worker 1"):
+        run_scenario(_scenario(trials=10, grid_points=64), threads=2)
 
 
 # --------------------------------------------------- binned reduction ----
@@ -531,24 +546,41 @@ def test_report_equals_reference_built_from_samples(
         assert ks == montecarlo._ks_upper(at_or_below, samples.size, ks_law)
 
 
-def test_peak_memory_flat_in_trial_count():
-    def peak_bytes(trials: int) -> int:
-        tracemalloc.start()
-        try:
-            run_scenario(_scenario(trials=trials))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+def _traced_peak(**overrides) -> int:
+    tracemalloc.start()
+    try:
+        run_scenario(_scenario(**overrides))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    peak_bytes(1250)  # one-time allocations
-    small, large = peak_bytes(12_500), peak_bytes(125_000)
-    # Holding the 1e6 samples would take 16 MB for the two magnitudes alone.
-    assert large <= 1.5 * small
+
+def test_peak_memory_flat_in_trial_count():
+    # The KS tables grow with sqrt(n) up to 2^16 edges and are most of a
+    # run's traced peak, so both sizes reach that cap: 2^20 and 2^23 users.
+    _traced_peak()  # one-time allocations
+    small, large = _traced_peak(trials=1 << 17), _traced_peak(trials=1 << 20)
+    # Holding the 2^23 samples would take 128 MiB for the two magnitudes alone.
+    assert large <= small + 64 * 1024, (small, large)
+
+
+def test_post_sampling_passes_never_set_the_peak():
+    # 2^20 users on one thread reach the 2^16 KS edges. While sampling, the
+    # run holds the worker's six float rows, the padded KS edges, their
+    # mixed flags, the int32 counts and a batch's masks. The passes after
+    # it (the grid columns' tables, the analytic CDF at the KS edges and
+    # the KS bounds) must fit in what the freed rows leave.
+    edges = montecarlo._MAX_KS_EDGES
+    rows = 6 * 8 * montecarlo._BATCH
+    ks_tables = 8 * (edges + 2) + (edges + 1) + 2 * 4 * (edges + 1)
+    masks = 8 * montecarlo._BATCH
+    _traced_peak()  # one-time allocations
+    assert _traced_peak(trials=1 << 17) <= rows + ks_tables + masks
 
 
 @pytest.mark.parametrize("on_track", [True, False], ids=["on_track", "cross_track"])
 def test_counting_a_batch_allocates_less_than_one_row(monkeypatch, on_track):
-    # 2^20 users fill 16 batches and reach the 2^16 KS edges. Every user
+    # 2^20 users fill whole batches and reach the 2^16 KS edges. Every user
     # sees the satellite, so the worker indexes into and compacts onto the
     # run's own rows and adds to its counts in place; a bin count per batch
     # alone would take 8 (2^16 + 1) bytes, more than a row. Cross-track,
@@ -573,7 +605,7 @@ def test_counting_a_batch_allocates_less_than_one_row(monkeypatch, on_track):
     finally:
         tracemalloc.stop()
     assert report.excluded == 0
-    assert len(calls) == 16
+    assert len(calls) == (1 << 20) // montecarlo._BATCH
     for allocated, row_bytes in calls:
         assert row_bytes == 8 * montecarlo._BATCH
         assert allocated < row_bytes, calls
@@ -589,18 +621,22 @@ def test_repeated_threaded_runs_keep_peak_rss():
     # grew by 4.5-4.9 MiB from the first 1e6-user run below to the fourth,
     # against 0.1-1.3 MiB with the rows allocated by run_scenario. A
     # 1e4-user run first takes the one-time costs (imports, code pages),
-    # which are 1-2 MiB and vary. The child reads its peak as VmHWM: its
-    # ru_maxrss would also count this test process's RSS, which exec
-    # carries over to the child and which may be larger.
+    # which are 1-2 MiB and vary. From there to the first 1e6-user run,
+    # peak RSS grew by 7.2 MiB with one started thread per worker,
+    # 2^16-user batches and the KS-edge CDF in one pass, and by 5.0 MiB
+    # with worker 0 on the calling thread, 2^15-user batches and the CDF in
+    # slices. The child reads its peak as VmHWM: its ru_maxrss would also
+    # count this test process's RSS, which exec carries over to the child
+    # and which may be larger.
     script = textwrap.dedent("""
         from leodoppler.geometry import SatelliteConfig
         from leodoppler.montecarlo import ScenarioConfig, run_scenario
 
         cfg = SatelliteConfig(f_c=2e9, h=600e3, omega_s=1.1e-3)
-        run_scenario(ScenarioConfig(cfg, 100e3, 200e3, 8, 1250, seed=1), threads=2)
+        warm_up = ScenarioConfig(cfg, 100e3, 200e3, n_users=8, trials=1250, seed=1)
         sc = ScenarioConfig(cfg, 100e3, 200e3, n_users=8, trials=125_000, seed=1)
-        for _ in range(4):
-            run_scenario(sc, threads=2)
+        for scenario in [warm_up] + 4 * [sc]:
+            run_scenario(scenario, threads=2)
             with open("/proc/self/status") as fh:
                 print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
     """)
@@ -614,8 +650,9 @@ def test_repeated_threaded_runs_keep_peak_rss():
     )
     assert result.returncode == 0, result.stderr
     kib = [int(line) for line in result.stdout.split()]
-    assert len(kib) == 4
-    assert kib[-1] - kib[0] <= 2 * 1024, kib
+    assert len(kib) == 5
+    assert kib[1] - kib[0] <= 6.5 * 1024, kib
+    assert kib[-1] - kib[1] <= 2 * 1024, kib
 
 
 # ------------------------------------------------------------- output ----
