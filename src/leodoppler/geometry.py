@@ -143,25 +143,22 @@ def _validate_theta(theta: float) -> float:
     return min(max(theta, 0.0), 1.0)
 
 
-def _slant_of_cos(cos_gamma, cfg: SatelliteConfig, out=None):
-    """Slant range sqrt(h^2 + 2 r_o r_E (1 - cos(gamma))) in metres, which
-    does not cancel: 1 - cos is exact for cos >= 1/2, and cos = 1 gives h.
-    out (may be cos_gamma) receives the result."""
-    s = np.subtract(1.0, cos_gamma, out=out)
-    s = np.multiply(s, 2.0 * orbital_radius(cfg) * cfg.r_e, out=out)
+def _slant_of_versin(versin, cfg: SatelliteConfig, out=None):
+    """Slant range sqrt(h^2 + 2 r_o r_E versin) in metres from versin = 1 -
+    cos(gamma), which does not cancel: 1 - cos is exact for cos >= 1/2,
+    and cos = 1 gives h. out (may be versin) receives the result."""
+    s = np.multiply(versin, 2.0 * orbital_radius(cfg) * cfg.r_e, out=out)
     s = np.add(s, cfg.h**2, out=out)
     return np.sqrt(s, out=out)
 
 
-def _above_horizon(cos_gamma, cfg: SatelliteConfig, work=None):
-    """True where r_o cos(gamma) >= r_E to within 2^-43 h: cos >= (1 - cos)
-    r_E / h, which keeps h where r_E + h rounds to r_E, with r_E / h shrunk
-    by 2^-44 so that for h >= r_E / 500 the float nearest r_E / r_o passes
-    even below it. work, if given, receives the right-hand side."""
-    k = cfg.r_e / cfg.h * (1.0 - 2.0**-44)
-    if work is None:
-        return cos_gamma >= (1.0 - cos_gamma) * k
-    return cos_gamma >= np.multiply(np.subtract(1.0, cos_gamma, out=work), k, out=work)
+def _above_horizon(versin, cfg: SatelliteConfig):
+    """True where versin = 1 - cos(gamma) <= h / r_o, i.e. r_o cos(gamma)
+    >= r_E: the satellite is at or above the user's horizon. h / r_o keeps
+    h where r_E + h rounds to r_E; it is raised by 2^-44 so that the float
+    nearest r_E / r_o passes for h >= r_E / 500 even below the horizon, and
+    users whose rise is below the horizon by at most about 2^-44 h pass."""
+    return versin <= cfg.h / orbital_radius(cfg) * (1.0 + 2.0**-44)
 
 
 def slant_range(dt: float, theta: float, cfg: SatelliteConfig) -> float:
@@ -177,7 +174,7 @@ def slant_range(dt: float, theta: float, cfg: SatelliteConfig) -> float:
         (theta = 1) and never exceeds r_E + r_o.
     """
     theta = _validate_theta(theta)
-    return float(_slant_of_cos(math.cos(_pass_phase(dt, cfg)) * theta, cfg))
+    return float(_slant_of_versin(1.0 - math.cos(_pass_phase(dt, cfg)) * theta, cfg))
 
 
 def central_angle(dt: float, theta: float, cfg: SatelliteConfig) -> float:
@@ -203,13 +200,14 @@ def elevation_from_central_angle(gamma: float, cfg: SatelliteConfig) -> float:
         it slightly negative.
 
     Raises:
-        BelowHorizonError: If r_o * cos(gamma) < r_E, i.e. the satellite is
-            below the user's local horizon.
+        BelowHorizonError: If r_o * cos(gamma) < r_E - 2^-43 h, i.e. the
+            satellite is below the user's local horizon. Closer below it,
+            rounding may count the user as visible, at elevation 0.
     """
     if not (0.0 <= gamma <= math.pi):
         raise ValueError(f"central angle must lie in [0, pi], got {gamma}")
     cos_gamma = math.cos(gamma)
-    if not _above_horizon(cos_gamma, cfg):
+    if not _above_horizon(1.0 - cos_gamma, cfg):
         raise BelowHorizonError(
             f"satellite below horizon at central angle {gamma:.6f} rad"
         )

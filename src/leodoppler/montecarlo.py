@@ -56,7 +56,7 @@ from .distributions import (
     doppler_support_max,
 )
 from .doppler import _shift
-from .geometry import SatelliteConfig, _above_horizon, _integral, _slant_of_cos
+from .geometry import SatelliteConfig, _above_horizon, _integral, _slant_of_versin
 from .pointprocess import _disk_points
 
 # Trials are distributed over this many independently seeded chunks
@@ -65,9 +65,10 @@ from .pointprocess import _disk_points
 _N_CHUNKS = 64
 
 # Users drawn and binned at once; each worker reuses six float64 rows of
-# this length. At 1e7 users on 2 threads, 2^15 took 3.3 MiB less peak RSS
-# than 2^16 and about 8 % more wall time, as more numpy calls per user
-# mean more waits for the interpreter lock; 2^14 was 35-45 % slower.
+# this length. A speed-for-memory trade: at 1e7 users on 2 threads, 2^15
+# took 3.3 MiB less peak RSS than 2^16 and about 10 % more time per run,
+# as more numpy calls per user mean more waits for the interpreter lock;
+# 2^14 was 35-45 % slower.
 _BATCH = 1 << 15
 
 # The KS edges number ceil(64 sqrt(n)) for n users, at most 2^16: enough to
@@ -313,8 +314,9 @@ def _batch_magnitudes(
     np.subtract(1.0, s, out=s)
     np.sqrt(s, out=s)
     s *= theta
-    visible = _above_horizon(s, cfg, work=scratch)
-    chi = _shift(sin_phase, theta, _slant_of_cos(s, cfg, out=s), cfg, out=sin_phase)
+    versin = np.subtract(1.0, s, out=s)
+    visible = _above_horizon(versin, cfg)
+    chi = _shift(sin_phase, theta, _slant_of_versin(versin, cfg, out=s), cfg, out=sin_phase)
     np.abs(chi, out=chi)
     # An exact magnitude at or above A has no distance; the NaN it gets
     # only makes the index search for that value.

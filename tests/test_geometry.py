@@ -25,7 +25,7 @@ from leodoppler.geometry import (
     PlanarPoint,
     SatelliteConfig,
     _above_horizon,
-    _slant_of_cos,
+    _slant_of_versin,
     angular_velocity_ecf,
     central_angle,
     elevation_from_central_angle,
@@ -125,9 +125,9 @@ def test_slant_kernel_on_arrays_equals_slant_range():
     dt = rng.uniform(-4000.0, 4000.0, 500)
     cos_gamma = np.array([math.cos(t * w) * th for t, th in zip(dt, theta)])
     scalar = [slant_range(t, th, CFG600) for t, th in zip(dt, theta)]
-    assert np.array_equal(_slant_of_cos(cos_gamma, CFG600), scalar)
-    out = cos_gamma.copy()
-    assert _slant_of_cos(out, CFG600, out=out) is out
+    assert np.array_equal(_slant_of_versin(1.0 - cos_gamma, CFG600), scalar)
+    out = 1.0 - cos_gamma
+    assert _slant_of_versin(out, CFG600, out=out) is out
     assert np.array_equal(out, scalar)
 
 
@@ -263,7 +263,7 @@ def test_elevation_in_range_wherever_horizon_test_passes(log_r_e, log_h, log_off
     )
     offset = 10.0**log_offset
     gamma = math.acos(r_e / r_o) * (1.0 + offset if outside else 1.0 - offset)
-    if not _above_horizon(math.cos(gamma), cfg):
+    if not _above_horizon(1.0 - math.cos(gamma), cfg):
         with pytest.raises(BelowHorizonError):
             elevation_from_central_angle(gamma, cfg)
         return
@@ -285,8 +285,7 @@ def test_horizon_test_follows_exact_rise(r_e, h, fraction):
     # Against r_o cos(gamma) - r_E in 60 digits at the float cos(gamma),
     # for gamma within 2 % of the horizon angle 2 asin(sqrt(h / 2 r_o)):
     # users with a rise of 0 or more see the satellite, users with a rise
-    # below -2^-43 h do not, in the scalar call and in the Monte Carlo
-    # kernel's call on a row alike.
+    # below -2^-43 h do not.
     cfg = SatelliteConfig(
         f_c=1.0, h=h, omega_s=SPEED_OF_LIGHT_M_S / (r_e + h), omega_e=0.0, r_e=r_e
     )
@@ -295,8 +294,7 @@ def test_horizon_test_follows_exact_rise(r_e, h, fraction):
         gamma = float(fraction * 2 * mpmath.asin(mpmath.sqrt(mpmath.mpf(h) / (2 * r_o))))
         cos_gamma = math.cos(gamma)
         rise = r_o * mpmath.mpf(cos_gamma) - mpmath.mpf(r_e)
-        visible = bool(_above_horizon(cos_gamma, cfg))
-        assert _above_horizon(np.array([cos_gamma]), cfg, work=np.empty(1))[0] == visible
+        visible = bool(_above_horizon(1.0 - cos_gamma, cfg))
         if rise >= 0:
             assert visible, float(rise / h)
         elif rise < -(2.0**-43) * h:
@@ -320,7 +318,7 @@ def test_nearest_float_to_horizon_cosine_is_visible(r_e, ratio):
     )
     with mpmath.workdps(60):
         cos_h = float(mpmath.mpf(r_e) / (mpmath.mpf(r_e) + mpmath.mpf(h)))
-    assert _above_horizon(cos_h, cfg)
+    assert _above_horizon(1.0 - cos_h, cfg)
 
 
 def test_elevation_matches_cosine_relation():

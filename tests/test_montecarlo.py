@@ -37,7 +37,7 @@ from leodoppler.doppler import _shift, doppler_bound
 from leodoppler.geometry import (
     SatelliteConfig,
     _above_horizon,
-    _slant_of_cos,
+    _slant_of_versin,
     elevation_from_central_angle,
 )
 from leodoppler.montecarlo import (
@@ -71,9 +71,9 @@ def _exact(x: float, y: float, sc: ScenarioConfig) -> tuple[float, bool]:
     sx, sy = montecarlo._sub_satellite_xy(sc)
     phase, theta = (sx - x) / sc.cfg.r_e, math.cos((sy - y) / sc.cfg.r_e)
     cos_gamma = math.cos(phase) * theta
-    slant = _slant_of_cos(cos_gamma, sc.cfg)
+    slant = _slant_of_versin(1.0 - cos_gamma, sc.cfg)
     chi = _shift(math.sin(phase), theta, slant, sc.cfg)
-    return float(chi), bool(_above_horizon(cos_gamma, sc.cfg))
+    return float(chi), bool(_above_horizon(1.0 - cos_gamma, sc.cfg))
 
 
 def _envelope(x: float, y: float, sc: ScenarioConfig) -> float:
