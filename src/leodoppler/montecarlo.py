@@ -214,12 +214,6 @@ class ComparisonReport:
     excluded: int
 
 
-def _sub_satellite_xy(scenario: ScenarioConfig) -> tuple[float, float]:
-    if scenario.cluster_center_on_track:
-        return scenario.r_hat, 0.0
-    return 0.0, scenario.r_hat
-
-
 def _chunk_jobs(scenario: ScenarioConfig) -> list[tuple[np.random.SeedSequence, int]]:
     """(child seed, trials) of each chunk, in chunk order."""
     n_chunks = min(scenario.trials, _N_CHUNKS)
@@ -228,27 +222,21 @@ def _chunk_jobs(scenario: ScenarioConfig) -> list[tuple[np.random.SeedSequence, 
     return [(seed, base + (1 if i < extra else 0)) for i, seed in enumerate(seeds)]
 
 
-def _batch_size(jobs: list, n_users: int) -> int:
-    """Users per batch: _BATCH, or all users when there are fewer."""
-    return min(_BATCH, n_users * sum(trials for _, trials in jobs))
-
-
 def _uniform_batches(
     jobs: list, n_users: int, radius: np.ndarray, angle: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The chunks' uniform draws, packed into batches of at most _BATCH users.
+    """The chunks' uniform draws, packed into batches of radius.size users.
 
     Chunk k contributes the same numbers as rng.random(count) twice with
     rng = default_rng(seed_k) and count = trials_k * n_users: the first
     draw to the radius column, the second to the angle column. The angles
     come from a second generator advanced past the radius draws, so a chunk
-    can be split across batches. The columns are the first _batch_size
-    entries of the caller's rows radius and angle, rewritten for every
-    batch; the consumer may overwrite them before it asks for the next.
+    can be split across batches. The columns are the caller's rows radius
+    and angle (of equal size), rewritten for every batch; the last batch
+    fills only their leading entries. The consumer may overwrite them
+    before it asks for the next.
     """
-    size = _batch_size(jobs, n_users)
-    radius, angle = radius[:size], angle[:size]
-    filled = 0
+    size, filled = radius.size, 0
     for child_seed, trials in jobs:
         count = trials * n_users
         radius_rng = np.random.default_rng(child_seed)
@@ -291,12 +279,15 @@ def _batch_magnitudes(
     cfg = scenario.cfg
     x, y, z, bound, s, scratch = (row[:n] for row in work)
     _disk_points(u_radius, u_angle, scenario.rho, x, y, u_radius)
-    # Each user's offset to the sub-satellite point. The ground track runs
-    # along x, so over r_E the offset is the along-track phase dt * omega_F
-    # from the user's closest approach and the cross-track angle beta.
-    sx, sy = _sub_satellite_xy(scenario)
-    np.subtract(sx, x, out=x)
-    np.subtract(sy, y, out=y)
+    # Each user's offset to the sub-satellite point, r_hat along x (on
+    # track) or y. The ground track runs along x, so over r_E the offset is
+    # the along-track phase dt * omega_F from the user's closest approach
+    # and the cross-track angle beta. The axis without r_hat keeps the
+    # user's sign, the opposite of the offset's: only its square, cos beta
+    # and |shift| reach the rows, and numpy's sin is odd and cos even, bit
+    # for bit.
+    axis = x if scenario.cluster_center_on_track else y
+    np.subtract(scenario.r_hat, axis, out=axis)
     # |x| and |y| stay below pi r_E / 4 + rho, so the squares cannot overflow.
     np.square(x, out=z)
     np.square(y, out=s)
@@ -431,10 +422,10 @@ def run_scenario(
     # Every worker's batch rows and counts, allocated here before any
     # worker starts: per batch, rows cost 5e4-1e5 page faults per 1e7
     # users, and in a started thread they came from glibc's per-thread
-    # arenas, which keep their pages after the run. A worker whose share is
-    # smaller uses the leading part of its rows. Counts are int32: none
-    # exceeds MAX_USERS < 2^31.
-    batch = max(_batch_size(share, scenario.n_users) for share in shares)
+    # arenas, which keep their pages after the run. The row length is the
+    # batch size: _BATCH, or the largest share's users when fewer. Counts
+    # are int32: none exceeds MAX_USERS < 2^31.
+    batch = min(_BATCH, scenario.n_users * max(sum(t for _, t in s) for s in shares))
     rows = np.empty((workers, 6, batch))
     ks_acc = np.zeros((workers, 2, ks_edges.size + 1), dtype=np.int32)
     grid_acc = np.zeros((workers, 2, grid.size + 1), dtype=np.int32)
@@ -442,8 +433,9 @@ def run_scenario(
     def count(w: int) -> int:
         """Add worker w's per-bin counts of the KS edges to ks_acc[w] and,
         for values in mixed KS bins, of the grid to grid_acc[w] (rows:
-        exact, envelope); return its exclusions. Each batch's draws go to
-        rows 4 and 5, later the mixed values and, as intp, the bin indices.
+        exact, envelope); return its exclusions. Each batch's draws fill
+        rows 4 and 5 (a share's last batch only their leading part), later
+        the mixed values and, as intp, the bin indices.
         A batch with every user visible allocates only masks, under a row."""
         work, ks_counts, grid_counts = rows[w], ks_acc[w], grid_acc[w]
         # An int32 one keeps np.add.at on its fast loop; a Python 1 is 25x slower.

@@ -68,7 +68,7 @@ def _exact(x: float, y: float, sc: ScenarioConfig) -> tuple[float, bool]:
     """Signed exact shift and visibility of a user at planar (x, y), from
     the kernels run_scenario uses: the offset to the sub-satellite point
     over r_E is (along-track phase, cross-track angle)."""
-    sx, sy = montecarlo._sub_satellite_xy(sc)
+    sx, sy = (sc.r_hat, 0.0) if sc.cluster_center_on_track else (0.0, sc.r_hat)
     phase, theta = (sx - x) / sc.cfg.r_e, math.cos((sy - y) / sc.cfg.r_e)
     cos_gamma = math.cos(phase) * theta
     slant = _slant_of_versin(1.0 - cos_gamma, sc.cfg)
@@ -77,7 +77,7 @@ def _exact(x: float, y: float, sc: ScenarioConfig) -> tuple[float, bool]:
 
 
 def _envelope(x: float, y: float, sc: ScenarioConfig) -> float:
-    sx, sy = montecarlo._sub_satellite_xy(sc)
+    sx, sy = (sc.r_hat, 0.0) if sc.cluster_center_on_track else (0.0, sc.r_hat)
     dist = DopplerMagnitudeDistribution.for_satellite(sc.cfg, sc.rho, sc.r_hat)
     return float(_magnitude_at_distance(math.hypot(sx - x, sy - y), dist))
 
@@ -140,6 +140,21 @@ def test_bound_dominates_exact_per_sample():
         assert np.all(visible)
         exact, bound = work[0], work[3]
         assert np.all(exact <= bound)
+
+
+def test_sin_is_odd_and_cos_even_bit_for_bit():
+    # _batch_magnitudes keeps the sign of the offset axis that carries no
+    # r_hat, which leaves every output unchanged only if numpy's sin is odd
+    # and its cos even, bit for bit, over the angles the validity radius
+    # allows. A platform where this fails would show here, not as digest
+    # mismatches.
+    quarter = math.pi / 4
+    a = np.concatenate((
+        np.random.default_rng(7).uniform(-quarter, quarter, 10**6),
+        [-quarter, quarter, 0.0, 5e-324],
+    ))
+    assert np.array_equal(np.sin(-a).view(np.int64), (-np.sin(a)).view(np.int64))
+    assert np.array_equal(np.cos(-a).view(np.int64), np.cos(a).view(np.int64))
 
 
 # ------------------------------------------------------ empirical CDF ----
@@ -360,21 +375,14 @@ def _reference_samples(sc: ScenarioConfig):
     return np.concatenate(rows[0]), np.concatenate(rows[1]), excluded
 
 
-def test_batches_reproduce_one_generator_per_chunk():
-    batch = montecarlo._BATCH
-    seeds = np.random.SeedSequence(5).spawn(3)
-    n_users = 2
-    # The middle chunk spans three batches and shares two with its neighbours.
-    jobs = [(seeds[0], 3), (seeds[1], batch + 5), (seeds[2], 7)]
-    # Rows longer than the batch: the batch size follows from the jobs, and
-    # the draws go to the rows' leading entries only.
-    rows = np.full((2, batch + 3), -1.0)
+def _check_uniform_batches(jobs: list, n_users: int, rows: np.ndarray) -> list[int]:
+    """Sizes of the batches _uniform_batches yields on rows; checks that
+    they are views of rows whose draws, joined, are each chunk's as
+    rng.random(count) twice from one generator."""
     batches = []
     for r, a in montecarlo._uniform_batches(jobs, n_users, rows[0], rows[1]):
         assert np.shares_memory(r, rows[0]) and np.shares_memory(a, rows[1])
         batches.append((r.copy(), a.copy()))
-    assert [r.size for r, _ in batches] == [batch, batch, 2 * (3 + 5 + 7)]
-    assert np.all(rows[:, batch:] == -1.0)
     radius, angle = [], []
     for child_seed, trials in jobs:
         rng = np.random.default_rng(child_seed)
@@ -382,6 +390,28 @@ def test_batches_reproduce_one_generator_per_chunk():
         angle.append(rng.random(trials * n_users))
     assert np.array_equal(np.concatenate([r for r, _ in batches]), np.concatenate(radius))
     assert np.array_equal(np.concatenate([a for _, a in batches]), np.concatenate(angle))
+    return [r.size for r, _ in batches]
+
+
+def test_batches_reproduce_one_generator_per_chunk():
+    batch = montecarlo._BATCH
+    seeds = np.random.SeedSequence(5).spawn(3)
+    # The middle chunk spans three batches and shares two with its neighbours.
+    jobs = [(seeds[0], 3), (seeds[1], batch + 5), (seeds[2], 7)]
+    rows = np.empty((2, batch))
+    assert _check_uniform_batches(jobs, 2, rows) == [batch, batch, 2 * (3 + 5 + 7)]
+
+
+def test_batches_fill_the_leading_part_of_longer_rows():
+    # Rows longer than all the jobs' users, as for a worker whose share is
+    # smaller than the largest: one partial batch goes into their leading
+    # entries and the tail stays untouched.
+    seeds = np.random.SeedSequence(5).spawn(3)
+    jobs = [(seeds[0], 3), (seeds[1], 5), (seeds[2], 7)]
+    users = 2 * (3 + 5 + 7)
+    rows = np.full((2, users + 3), -1.0)
+    assert _check_uniform_batches(jobs, 2, rows) == [users]
+    assert np.all(rows[:, users:] == -1.0)
 
 
 def _probes(edges: np.ndarray, a: float) -> np.ndarray:
