@@ -3,9 +3,10 @@
 The package derives the instantaneous Doppler shift of a circular-orbit
 low-Earth-orbit downlink, bounds it by the on-track envelope, and carries
 that envelope through the geometry of a uniformly clustered user population
-to a closed-form distribution of the Doppler magnitude, including order
-statistics over the cluster. A Monte Carlo layer replays the same scenes on
-exact sphere geometry to validate the closed forms.
+to a closed-form distribution of the Doppler magnitude, including the
+CDFs of its minimum and maximum over the cluster. A Monte Carlo layer
+replays the same scenes on exact sphere geometry to validate the closed
+forms.
 """
 from .distributions import (
     DiskDistanceDistribution,
@@ -18,9 +19,7 @@ from .distributions import (
     doppler_support_max,
     doppler_support_min,
     max_doppler_cdf,
-    max_doppler_pdf,
     min_doppler_cdf,
-    min_doppler_pdf,
     overhead_cdf,
     overhead_pdf,
     param_A,
@@ -30,7 +29,6 @@ from .doppler import (
     doppler_bound,
     doppler_exact,
     epsilon_accuracy_offsets,
-    gamma_dot,
     theta_of_alpha_max,
 )
 from .geometry import (
@@ -93,11 +91,8 @@ __all__ = [
     "dump_clusters_csv",
     "elevation_from_central_angle",
     "epsilon_accuracy_offsets",
-    "gamma_dot",
     "max_doppler_cdf",
-    "max_doppler_pdf",
     "min_doppler_cdf",
-    "min_doppler_pdf",
     "orbital_radius",
     "overhead_cdf",
     "overhead_pdf",

@@ -6,8 +6,8 @@ uniform point of the disk to the sub-satellite point has a piecewise
 closed-form law (a disk-and-circle lens area). The Doppler magnitude of a
 user at distance z is x = A * z / sqrt(h^2 + z^2), a strictly increasing
 map, so the magnitude law follows from the distance law by a change of
-variables. Order statistics over N independent users and the closed
-overhead special case (r_hat = 0) come with it.
+variables. The CDFs of the minimum and maximum over N independent users
+and the closed overhead special case (r_hat = 0) come with it.
 
 All functions accept scalars or ndarrays for the evaluation point and are
 strict about SI units (metres, hertz). A NaN or negative evaluation point
@@ -138,8 +138,7 @@ class DopplerMagnitudeDistribution:
         h: Satellite altitude in metres, in [MIN_LENGTH_M, MAX_LENGTH_M].
         rho: Cluster disk radius in metres, in [MIN_LENGTH_M, MAX_LENGTH_M].
         r_hat: Planar distance of the sub-satellite point from the cluster
-            centre, metres, in [0, MAX_LENGTH_M]. Canonical parameter;
-            construction from a slant range converts to it.
+            centre, metres, in [0, MAX_LENGTH_M].
     """
 
     a: float
@@ -159,18 +158,6 @@ class DopplerMagnitudeDistribution:
     ) -> "DopplerMagnitudeDistribution":
         """Build from a satellite description and planar centre offset."""
         return cls(param_A(cfg), cfg.h, rho, r_hat)
-
-    @classmethod
-    def from_slant_range(
-        cls, cfg: SatelliteConfig, rho: float, s_t: float
-    ) -> "DopplerMagnitudeDistribution":
-        """Build from the slant range to the cluster centre.
-
-        The planar offset is recovered as sqrt(s_t^2 - h^2); s_t must lie
-        between the altitude and MAX_LENGTH_M, so its square is finite.
-        """
-        _check_length("slant range", s_t, lo=cfg.h)
-        return cls(param_A(cfg), cfg.h, rho, math.sqrt(s_t**2 - cfg.h**2))
 
     def _disk(self) -> DiskDistanceDistribution:
         return DiskDistanceDistribution(self.rho, self.r_hat)
@@ -276,43 +263,26 @@ def doppler_quantile(p, dist: DopplerMagnitudeDistribution):
     return _scalar_or_array(out, scalar)
 
 
-def _order_statistic(
-    x, dist: DopplerMagnitudeDistribution, n: int, minimum: bool, density: bool
-):
-    """CDF or density of the minimum or maximum magnitude over n independent
-    users, from the single-user CDF F and density f: 1 - (1 - F)^n and
-    n (1 - F)^(n - 1) f for the minimum, F^n and n F^(n - 1) f for the
+def _order_statistic(x, dist: DopplerMagnitudeDistribution, n: int, minimum: bool):
+    """CDF of the minimum or maximum magnitude over n independent users,
+    from the single-user CDF F: 1 - (1 - F)^n for the minimum, F^n for the
     maximum."""
     if not (_integral(n) and n >= 1):
         raise ValueError(f"cluster size n must be a positive integer, got {n}")
     n = int(n)
     f = np.asarray(doppler_cdf(x, dist))
-    base = 1.0 - f if minimum else f
-    if density:
-        out = n * base ** (n - 1) * np.asarray(doppler_pdf(x, dist))
-    else:
-        out = 1.0 - base**n if minimum else base**n
+    out = 1.0 - (1.0 - f) ** n if minimum else f**n
     return float(out) if out.ndim == 0 else out
 
 
 def min_doppler_cdf(x, dist: DopplerMagnitudeDistribution, n: int):
     """CDF of the minimum magnitude over n independent users."""
-    return _order_statistic(x, dist, n, minimum=True, density=False)
-
-
-def min_doppler_pdf(x, dist: DopplerMagnitudeDistribution, n: int):
-    """Density of the minimum magnitude over n independent users."""
-    return _order_statistic(x, dist, n, minimum=True, density=True)
+    return _order_statistic(x, dist, n, minimum=True)
 
 
 def max_doppler_cdf(x, dist: DopplerMagnitudeDistribution, n: int):
     """CDF of the maximum magnitude over n independent users."""
-    return _order_statistic(x, dist, n, minimum=False, density=False)
-
-
-def max_doppler_pdf(x, dist: DopplerMagnitudeDistribution, n: int):
-    """Density of the maximum magnitude over n independent users."""
-    return _order_statistic(x, dist, n, minimum=False, density=True)
+    return _order_statistic(x, dist, n, minimum=False)
 
 
 def _require_overhead(dist: DopplerMagnitudeDistribution) -> None:

@@ -61,27 +61,6 @@ def theta_of_alpha_max(alpha_max: float, cfg: SatelliteConfig) -> float:
     return math.cos(math.acos(k * math.cos(alpha_max)) - alpha_max)
 
 
-def gamma_dot(dt: float, theta: float, cfg: SatelliteConfig) -> float:
-    """Rate of change of the central angle at time offset dt.
-
-    For theta = 1 the expression degenerates; the limit is +/- omega_F with
-    the sign of sin(dt * omega_F), and 0 at dt = 0 by convention.
-
-    Returns:
-        d(gamma)/dt in rad/s, always within (-omega_F, omega_F] in magnitude.
-    """
-    if not (0.0 < theta <= 1.0):
-        raise ValueError(f"Theta must lie in (0, 1], got {theta}")
-    omega_f = angular_velocity_ecf(cfg)
-    phase = _pass_phase(dt, cfg)
-    sin_phase = math.sin(phase)
-    if theta == 1.0:
-        if sin_phase == 0.0:
-            return 0.0
-        return math.copysign(omega_f, sin_phase)
-    return omega_f * theta * sin_phase / math.sqrt(1.0 - theta**2 * math.cos(phase) ** 2)
-
-
 def _shift(sin_phase, theta, slant, cfg: SatelliteConfig, out=None):
     """Exact shift -A r_E sin(phase) theta / slant in Hz, A = f_c r_o omega_F
     / c (Ali, Al-Dhahir & Hershey, IEEE Trans. Commun. 46(3), 1998):

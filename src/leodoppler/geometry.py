@@ -22,8 +22,8 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 EARTH_RADIUS_M = 6_371_000.0
 EARTH_ANGULAR_VELOCITY_RAD_S = 7.27e-5
 
-# Inverse-trig arguments within this distance outside [-1, 1] are treated as
-# floating-point noise and clamped; anything further out is a domain error.
+# slant_range and central_angle clamp a Theta within this distance outside
+# [0, 1] into it, as rounding noise; a Theta further out is a domain error.
 INVERSE_TRIG_CLAMP_TOL = 1e-12
 
 # Accepted lengths (altitude, Earth radius, cluster radius and offset) in

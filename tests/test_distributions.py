@@ -31,9 +31,7 @@ from leodoppler.distributions import (
     doppler_support_max,
     doppler_support_min,
     max_doppler_cdf,
-    max_doppler_pdf,
     min_doppler_cdf,
-    min_doppler_pdf,
     overhead_cdf,
     overhead_pdf,
     param_A,
@@ -521,29 +519,13 @@ def test_order_stats_sandwich():
         assert np.all(f <= f_min + 1e-14)
 
 
-def test_order_stats_pdfs_match_finite_difference():
-    dist = _dist600(100e3, 50e3)
-    step = 0.5
-    n = 6
-    for x in np.linspace(500.0, doppler_support_max(dist) - 500.0, 40):
-        x = float(x)
-        fd_min = (
-            min_doppler_cdf(x + step, dist, n) - min_doppler_cdf(x - step, dist, n)
-        ) / (2.0 * step)
-        fd_max = (
-            max_doppler_cdf(x + step, dist, n) - max_doppler_cdf(x - step, dist, n)
-        ) / (2.0 * step)
-        assert min_doppler_pdf(x, dist, n) == pytest.approx(fd_min, abs=1e-6)
-        assert max_doppler_pdf(x, dist, n) == pytest.approx(fd_max, abs=1e-6)
-
-
 def test_order_stats_reject_bad_cluster_size():
     dist = _dist600(100e3, 0.0)
     with pytest.raises(ValueError):
         min_doppler_cdf(1e3, dist, 0)
     with pytest.raises(ValueError):
         max_doppler_cdf(1e3, dist, -3)
-    for law in (min_doppler_cdf, min_doppler_pdf, max_doppler_cdf, max_doppler_pdf):
+    for law in (min_doppler_cdf, max_doppler_cdf):
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="cluster size n"):
                 law(1e3, dist, bad)
@@ -642,31 +624,6 @@ def test_cdf_improves_with_altitude():
 
 # ------------------------------------------------------- construction ----
 
-def test_distribution_from_slant_range():
-    s_t = math.hypot(600e3, 200e3)
-    via_slant = DopplerMagnitudeDistribution.from_slant_range(CFG600, 100e3, s_t)
-    direct = _dist600(100e3, 200e3)
-    assert via_slant.r_hat == pytest.approx(direct.r_hat, rel=1e-12)
-    assert via_slant.a == direct.a
-
-
-def test_distribution_from_slant_range_at_altitude_is_overhead():
-    dist = DopplerMagnitudeDistribution.from_slant_range(CFG600, 100e3, 600e3)
-    assert dist.r_hat == 0.0
-
-
-def test_distribution_rejects_short_slant_range():
-    with pytest.raises(ValueError):
-        DopplerMagnitudeDistribution.from_slant_range(CFG600, 100e3, 599e3)
-
-
-@pytest.mark.parametrize("s_t", [1e200, math.inf, math.nan])
-def test_distribution_rejects_non_finite_and_oversized_slant_range(s_t):
-    # 1e200 used to overflow in s_t**2 with OverflowError.
-    with pytest.raises(ValueError, match="slant range"):
-        DopplerMagnitudeDistribution.from_slant_range(CFG600, 100e3, s_t)
-
-
 def test_distribution_field_validation():
     with pytest.raises(ValueError):
         DopplerMagnitudeDistribution(a=-1.0, h=600e3, rho=100e3, r_hat=0.0)
@@ -676,36 +633,47 @@ def test_distribution_field_validation():
         DopplerMagnitudeDistribution(a=A600, h=600e3, rho=100e3, r_hat=-1.0)
 
 
-# ------------------------------------------------------------ NaN input ----
+# ------------------------------------------------- NaN and infinite input ----
 
 _D = _dist600(100e3, 200e3)
 _DISK = DiskDistanceDistribution(radius=100e3, offset=200e3)
 _OVERHEAD = _dist600(100e3, 0.0)
 
 
-@pytest.mark.parametrize(
-    "law",
-    [
-        lambda x: disk_distance_cdf(x, _DISK),
-        lambda x: disk_distance_pdf(x, _DISK),
-        lambda x: doppler_cdf(x, _D),
-        lambda x: doppler_pdf(x, _D),
-        lambda x: doppler_quantile(x, _D),
-        lambda x: min_doppler_cdf(x, _D, 4),
-        lambda x: min_doppler_pdf(x, _D, 4),
-        lambda x: max_doppler_cdf(x, _D, 4),
-        lambda x: max_doppler_pdf(x, _D, 4),
-        lambda x: overhead_cdf(x, _OVERHEAD),
-        lambda x: overhead_pdf(x, _OVERHEAD),
-    ],
-    ids=[
-        "disk_distance_cdf", "disk_distance_pdf", "doppler_cdf", "doppler_pdf",
-        "doppler_quantile", "min_doppler_cdf", "min_doppler_pdf", "max_doppler_cdf",
-        "max_doppler_pdf", "overhead_cdf", "overhead_pdf",
-    ],
-)
-def test_law_functions_reject_nan(law):
+# Each law with its value at +inf: 1 for a CDF, 0 for a density, and None
+# for the quantile, which must raise there.
+_LAWS = {
+    "disk_distance_cdf": (lambda x: disk_distance_cdf(x, _DISK), 1.0),
+    "disk_distance_pdf": (lambda x: disk_distance_pdf(x, _DISK), 0.0),
+    "doppler_cdf": (lambda x: doppler_cdf(x, _D), 1.0),
+    "doppler_pdf": (lambda x: doppler_pdf(x, _D), 0.0),
+    "doppler_quantile": (lambda x: doppler_quantile(x, _D), None),
+    "min_doppler_cdf": (lambda x: min_doppler_cdf(x, _D, 4), 1.0),
+    "max_doppler_cdf": (lambda x: max_doppler_cdf(x, _D, 4), 1.0),
+    "overhead_cdf": (lambda x: overhead_cdf(x, _OVERHEAD), 1.0),
+    "overhead_pdf": (lambda x: overhead_pdf(x, _OVERHEAD), 0.0),
+}
+_each_law = pytest.mark.parametrize("law, at_inf", list(_LAWS.values()), ids=list(_LAWS))
+
+
+@_each_law
+def test_law_functions_reject_nan(law, at_inf):
     with pytest.raises(ValueError, match="NaN"):
         law(math.nan)
     with pytest.raises(ValueError, match="NaN"):
         law(np.array([0.0, math.nan]))
+
+
+@_each_law
+def test_law_functions_at_infinity(law, at_inf):
+    # +inf lies above every support: a CDF is exactly 1 and a density
+    # exactly 0 there, while no probability is infinite. -inf is negative.
+    for x in (math.inf, np.array([0.0, math.inf])):
+        if at_inf is None:
+            with pytest.raises(ValueError, match="at most 1"):
+                law(x)
+        else:
+            assert np.atleast_1d(law(x))[-1] == at_inf
+    for x in (-math.inf, np.array([0.0, -math.inf])):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            law(x)
