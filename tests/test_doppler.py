@@ -94,6 +94,43 @@ def test_theta_rejects_out_of_range_elevation():
         theta_of_alpha_max(2.0, CFG600)
 
 
+# --------------------------------------------------------- gamma rate ----
+
+def _gamma_dot(dt: float, theta: float) -> float:
+    # d(gamma)/dt, the central angle's rate, the reference for the paper's
+    # rate form of the shift. At Theta = 1 the expression is 0 / 0 at dt = 0;
+    # its limit is +/- omega_F with the sign of sin(dt omega_F), and 0 at dt = 0.
+    phase = dt * W600
+    sin_phase = math.sin(phase)
+    if theta == 1.0:
+        return math.copysign(W600, sin_phase) if sin_phase != 0.0 else 0.0
+    return W600 * theta * sin_phase / math.sqrt(1.0 - theta**2 * math.cos(phase) ** 2)
+
+
+def test_gamma_dot_zero_at_closest_approach():
+    assert _gamma_dot(0.0, 0.95) == 0.0
+
+
+def test_gamma_dot_quarter_phase_scales_with_theta():
+    dt = (math.pi / 2) / W600
+    assert _gamma_dot(dt, 0.9) == pytest.approx(0.9 * W600, rel=1e-12)
+
+
+def test_gamma_dot_on_track_limit():
+    assert _gamma_dot(10.0, 1.0) == W600
+    assert _gamma_dot(-10.0, 1.0) == -W600
+    assert _gamma_dot(0.0, 1.0) == 0.0
+
+
+def test_gamma_dot_magnitude_never_exceeds_omega():
+    rng = np.random.default_rng(5)
+    r_o = orbital_radius(CFG600)
+    for _ in range(300):
+        theta = float(rng.uniform(CFG600.r_e / r_o, 1.0))
+        dt = float(rng.uniform(-5000.0, 5000.0))
+        assert abs(_gamma_dot(dt, theta)) <= W600 + 1e-18
+
+
 # ------------------------------------------------------- exact Doppler ----
 
 def _pass(alpha_max: float) -> PassGeometry:
@@ -165,13 +202,6 @@ def _visible_dt_limit(theta: float) -> float:
     # Satellite above the horizon while Theta cos(dt w) >= r_E / r_o.
     k = CFG600.r_e / orbital_radius(CFG600)
     return math.acos(min(k / theta, 1.0)) / W600
-
-
-def _gamma_dot(dt: float, theta: float) -> float:
-    # d(gamma)/dt, the central angle's rate, for Theta < 1 (at Theta = 1 it
-    # is 0 / 0 at dt = 0).
-    phase = dt * W600
-    return W600 * theta * math.sin(phase) / math.sqrt(1.0 - theta**2 * math.cos(phase) ** 2)
 
 
 def test_doppler_two_forms_agree():
