@@ -9,8 +9,10 @@ Subcommands
                  CSV and summary per scenario on a sweep-common grid.
 
 Configuration is a line-oriented ``key = value`` file with unit-suffixed
-keys (km, GHz); values are converted to strict SI at the parse boundary.
-Exit codes: 0 ok, 2 config parse error, 3 validation error, 4 I/O error.
+keys (km, GHz) and ``#`` comments; values are converted to strict SI at the
+parse boundary.
+Exit codes: 0 ok, 2 parse error (config file missing or malformed, bad
+command-line argument, or no subcommand), 3 validation error, 4 I/O error.
 """
 from __future__ import annotations
 
@@ -95,15 +97,6 @@ class ConfigValidationError(Exception):
     """Config text parsed but the values violate a model invariant."""
 
 
-def _parse_number(key: str, raw: str, lineno: int) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigParseError(
-            f"line {lineno}: value for '{key}' is not a number: '{raw}'"
-        ) from None
-
-
 def parse_config(path) -> ScenarioConfig:
     """Read a key = value config file and resolve it to an SI scenario.
 
@@ -117,8 +110,8 @@ def parse_config(path) -> ScenarioConfig:
         raise ConfigParseError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, float] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
+        line = raw_line.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigParseError(f"line {lineno}: expected 'key = value', got '{line}'")
@@ -132,7 +125,12 @@ def parse_config(path) -> ScenarioConfig:
             )
         if key in values:
             raise ConfigParseError(f"line {lineno}: key '{key}' given twice")
-        values[key] = _parse_number(key, raw_value, lineno)
+        try:
+            values[key] = float(raw_value)
+        except ValueError:
+            raise ConfigParseError(
+                f"line {lineno}: value for '{key}' is not a number: '{raw_value}'"
+            ) from None
     return _resolve(values)
 
 
@@ -176,9 +174,9 @@ def _resolve(values: dict[str, float]) -> ScenarioConfig:
         raise ConfigValidationError(str(exc)) from exc
 
 
-def default_config(h_km: float = 600.0) -> ScenarioConfig:
-    """Scenario for the documented defaults at a standard altitude."""
-    return _resolve({"h_km": h_km})
+def default_config() -> ScenarioConfig:
+    """Scenario for the documented defaults at 600 km."""
+    return _resolve({"h_km": 600.0})
 
 
 def cmd_curve(sc: ScenarioConfig, out_dir: Path, which: str, n: int) -> Path:
@@ -264,44 +262,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Doppler magnitude statistics for clustered LEO ground users",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("cdf", "write the magnitude CDF curve"),
-        ("pdf", "write the magnitude density curve"),
-        ("order-stats", "write an order-statistic CDF curve"),
-        ("simulate", "run the Monte Carlo comparison"),
-        ("figure", "run a bundled parameter sweep"),
-    ):
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("--config", type=Path, help="key = value config file")
-        cmd.add_argument(
-            "--out", type=Path, default=Path("."), help="output directory (default: .)"
-        )
-        if name in ("cdf", "pdf"):
-            cmd.set_defaults(which=name, n=None)
-        if name == "order-stats":
-            cmd.add_argument(
-                "--which",
-                choices=("single", "min", "max"),
-                default="single",
-                help="which statistic to evaluate (default: single)",
-            )
-            cmd.add_argument(
-                "--n", type=int, default=None, help="users per cluster (default: config n_users)"
-            )
-        if name in ("simulate", "figure"):
-            cmd.add_argument(
-                "--threads",
-                type=int,
-                default=1,
-                help="worker threads, at most one per sampling chunk (default: 1)",
-            )
-        if name == "figure":
-            cmd.add_argument(
-                "--preset",
-                choices=tuple(_FIGURES),
-                required=True,
-                help="which sweep to run",
-            )
+    # Options of every subcommand, then those of the two that sample.
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--config", type=Path, help="key = value config file")
+    base.add_argument("--out", type=Path, default=Path("."), help="output directory (default: .)")
+    sampling = argparse.ArgumentParser(add_help=False, parents=[base])
+    sampling.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads, at most one per sampling chunk (default: 1)",
+    )
+    cdf = sub.add_parser("cdf", parents=[base], help="write the magnitude CDF curve")
+    cdf.set_defaults(which="cdf", n=None)
+    pdf = sub.add_parser("pdf", parents=[base], help="write the magnitude density curve")
+    pdf.set_defaults(which="pdf", n=None)
+    stats = sub.add_parser("order-stats", parents=[base], help="write an order-statistic CDF curve")
+    stats.add_argument(
+        "--which",
+        choices=("single", "min", "max"),
+        default="single",
+        help="which statistic to evaluate (default: single)",
+    )
+    stats.add_argument("--n", type=int, help="users per cluster (default: config n_users)")
+    sub.add_parser("simulate", parents=[sampling], help="run the Monte Carlo comparison")
+    figure = sub.add_parser("figure", parents=[sampling], help="run a bundled parameter sweep")
+    figure.add_argument(
+        "--preset", choices=tuple(_FIGURES), required=True, help="which sweep to run"
+    )
     return parser
 
 
@@ -309,15 +297,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         sc = parse_config(args.config) if args.config is not None else default_config()
-        out_dir = args.out
-        out_dir.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
-            written = list(cmd_simulate(sc, out_dir, threads=args.threads))
+            written = list(cmd_simulate(sc, args.out, threads=args.threads))
         elif args.command == "figure":
-            written = cmd_figure(args.preset, sc, out_dir, threads=args.threads)
+            written = cmd_figure(args.preset, sc, args.out, threads=args.threads)
         else:
             n = sc.n_users if args.n is None else args.n
-            written = [cmd_curve(sc, out_dir, args.which, n)]
+            written = [cmd_curve(sc, args.out, args.which, n)]
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,8 +1,10 @@
 """Config parsing, subcommand outputs, and exit codes of the CLI."""
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,8 +23,10 @@ from leodoppler.cli import (
     EXIT_PARSE,
     EXIT_VALIDATION,
     VALID_KEYS,
+    _DEFAULTS,
     ConfigParseError,
     ConfigValidationError,
+    build_parser,
     cmd_curve,
     cmd_figure,
     cmd_simulate,
@@ -63,12 +67,14 @@ def test_parse_config_accepts_comments_and_blank_lines(tmp_path):
     sc = parse_config(
         _write_config(
             tmp_path,
-            "# serving scene\n\nh_km = 1200\nrho_km = 150\n  # indented comment\n",
+            "# serving scene\n\nh_km = 1200\nrho_km = 150  # cluster radius\n"
+            "  # indented comment\nn_users = 4#no space\n",
         )
     )
     assert sc.cfg.h == 1200e3
     assert sc.cfg.omega_s == 9.5809e-4
     assert sc.rho == 150e3
+    assert sc.n_users == 4
     # Default centre offset follows the overridden radius.
     assert sc.r_hat == 300e3
 
@@ -109,6 +115,12 @@ def test_parse_config_rejects_non_numeric_value(tmp_path):
         parse_config(path)
 
 
+def test_parse_config_comment_in_place_of_a_value_is_not_a_number(tmp_path):
+    path = _write_config(tmp_path, "h_km = # altitude\n")
+    with pytest.raises(ConfigParseError, match=r"line 1: value for 'h_km' is not a number: ''"):
+        parse_config(path)
+
+
 def test_parse_config_rejects_bare_line(tmp_path):
     path = _write_config(tmp_path, "h_km\n")
     with pytest.raises(ConfigParseError, match="key = value"):
@@ -134,7 +146,6 @@ def test_parse_config_validates_physics(tmp_path):
 def test_default_config_matches_minimal_file(tmp_path):
     from_file = parse_config(_write_config(tmp_path, "h_km = 600\n"))
     assert default_config() == from_file
-    assert default_config(1200.0).cfg.omega_s == 9.5809e-4
 
 
 # ---------------------------------------------------------- subcommands ----
@@ -373,11 +384,25 @@ def test_main_cdf_without_config_uses_defaults(tmp_path, capsys):
     assert (tmp_path / "cdf.csv").exists()
 
 
+def test_main_cdf_ignores_trailing_comments(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "h_km = 600  # altitude\nrho_km = 100 # radius\n")
+    assert main(["cdf", "--config", str(cfg), "--out", str(tmp_path / "commented")]) == EXIT_OK
+    assert main(["cdf", "--out", str(tmp_path / "default")]) == EXIT_OK
+    commented = (tmp_path / "commented" / "cdf.csv").read_bytes()
+    assert commented == (tmp_path / "default" / "cdf.csv").read_bytes()
+
+
 def test_main_parse_error_exit_code(tmp_path, capsys):
     cfg = _write_config(tmp_path, "h_km = 600\nbogus = 1\n")
     code = main(["cdf", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == EXIT_PARSE
     assert "config error" in capsys.readouterr().err
+
+
+def test_main_missing_config_is_parse_error(tmp_path, capsys):
+    code = main(["cdf", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
+    assert code == EXIT_PARSE
+    assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_main_non_utf8_config_is_parse_error(tmp_path, capsys):
@@ -488,6 +513,117 @@ def test_main_exits_cleanly_on_fuzzed_config(head, lines, command):
 def test_main_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+# ----------------------------------------------------------------- parser ----
+
+_COMMON = {"config": None, "out": Path(".")}
+
+# Each argv and the full namespace it parses to, defaults included.
+_PARSED = [
+    (["cdf"], {"command": "cdf", **_COMMON, "which": "cdf", "n": None}),
+    (
+        ["pdf", "--config", "a.cfg", "--out", "o"],
+        {"command": "pdf", "config": Path("a.cfg"), "out": Path("o"), "which": "pdf", "n": None},
+    ),
+    (["order-stats"], {"command": "order-stats", **_COMMON, "which": "single", "n": None}),
+    (
+        ["order-stats", "--which", "max", "--n", "5", "--out", "o"],
+        {"command": "order-stats", "config": None, "out": Path("o"), "which": "max", "n": 5},
+    ),
+    (["simulate"], {"command": "simulate", **_COMMON, "threads": 1}),
+    (
+        ["simulate", "--threads", "2", "--config", "a.cfg"],
+        {"command": "simulate", "config": Path("a.cfg"), "out": Path("."), "threads": 2},
+    ),
+    (
+        ["figure", "--preset", "fig3"],
+        {"command": "figure", **_COMMON, "threads": 1, "preset": "fig3"},
+    ),
+    (
+        ["figure", "--threads", "3", "--preset", "fig4", "--out", "o"],
+        {"command": "figure", "config": None, "out": Path("o"), "threads": 3, "preset": "fig4"},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _PARSED, ids=[" ".join(a) for a, _ in _PARSED])
+def test_parser_namespaces(argv, expected):
+    assert vars(build_parser().parse_args(argv)) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Options of another subcommand.
+        ["cdf", "--threads", "2"],
+        ["pdf", "--which", "min"],
+        ["order-stats", "--threads", "2"],
+        ["simulate", "--n", "3"],
+        ["simulate", "--preset", "fig2"],
+        # A required option left out, a value outside the choices or of the wrong type.
+        ["figure"],
+        ["order-stats", "--which", "x"],
+        ["order-stats", "--n", "x"],
+        ["figure", "--preset", "fig9"],
+        ["simulate", "--threads", "two"],
+        # No subcommand, or an unknown one.
+        [],
+        ["bogus"],
+    ],
+    ids=lambda argv: " ".join(argv) or "(none)",
+)
+def test_parser_rejects_with_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "usage: leodoppler" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------- README ----
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_command_block_matches_the_parser():
+    block = re.search(r"## Command line\n\n```\n(.*?)```", _README, re.S).group(1)
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    documented = {}
+    for line in block.splitlines():
+        name = line.split()[1]
+        options = {}
+        for opt, choices in re.findall(r"(--[a-z-]+)(?: ([a-z0-9]+(?:\|[a-z0-9]+)+))?", line):
+            # A bracketed option is optional, a bare one required.
+            required = not re.search(r"\[" + re.escape(opt) + r"\b", line)
+            options[opt] = (tuple(choices.split("|")) if choices else None, required)
+        documented[name] = options
+    accepted = {
+        name: {
+            action.option_strings[-1]: (
+                tuple(action.choices) if action.choices else None, action.required
+            )
+            for action in sub._actions
+            if "--help" not in action.option_strings
+        }
+        for name, sub in subcommands.items()
+    }
+    assert documented == accepted
+
+
+def test_readme_config_table_matches_the_defaults():
+    rows = dict(re.findall(r"^\| `(\w+)` +\|[^|]+\| (.+?) +\|$", _README, re.M))
+    assert set(rows) == VALID_KEYS
+    # grid_points has no config default; ScenarioConfig's own applies.
+    expected = {**_DEFAULTS, "grid_points": default_config().grid_points}
+    numeric = {}
+    for key, cell in rows.items():
+        try:
+            numeric[key] = float(cell)
+        except ValueError:
+            continue
+    assert numeric == expected
 
 
 # Child interpreters find the package from the source tree.
