@@ -23,8 +23,8 @@ an exact one's from the distance at which the envelope takes its value.
 Once per run, each grid column is the unmixed KS bins up to the grid point
 plus the mixed bins' grid counts up to it. Integer sums do not depend on
 their order, so results are identical for any worker count, and memory is
-O(edges + batch) whatever the number of users: each worker holds six
-float rows of its batch length (1.5 MiB at 2^15) and int32 counts, all
+O(edges + batch) whatever the number of users: each worker holds four
+float rows of its batch length (1 MiB at 2^15) and int32 counts, all
 allocated before any worker starts, and no pass after sampling holds
 more than the freed rows. The grid columns are exact. The KS distances
 are upper bounds from the counts and the analytic CDF at the edges, above
@@ -64,11 +64,11 @@ from .pointprocess import _disk_points
 # depend on the number of workers.
 _N_CHUNKS = 64
 
-# Users drawn and binned at once; each worker reuses six float64 rows of
-# this length. A speed-for-memory trade: at 1e7 users on 2 threads, 2^15
-# took 3.3 MiB less peak RSS than 2^16 and about 10 % more time per run,
-# as more numpy calls per user mean more waits for the interpreter lock;
-# 2^14 was 35-45 % slower.
+# Users drawn and binned at once; each worker reuses four float64 rows of
+# this length (1 MiB at 2^15). A speed-for-memory trade, measured with six
+# rows: at 1e7 users on 2 threads, 2^15 took 3.3 MiB less peak RSS than
+# 2^16 and about 10 % more time per run, as more numpy calls per user mean
+# more waits for the interpreter lock; 2^14 was 35-45 % slower.
 _BATCH = 1 << 15
 
 # The KS edges number ceil(64 sqrt(n)) for n users, at most 2^16: enough to
@@ -265,19 +265,19 @@ def _batch_magnitudes(
 ) -> np.ndarray:
     """Write a batch's magnitudes into work's rows; return who is visible.
 
-    dist is scenario.law and work is a (6, >= batch) float array. Over
-    the batch's first n entries, row 0 then holds the exact magnitudes and
+    dist is scenario.law and work is a (4, >= batch) float array. Over
+    the batch's first n entries, row 0 then holds the exact magnitudes,
     row 1 the planar distance at which the envelope takes each of them
-    (its inverse map); row 3 holds the envelope magnitudes and row 2 each
-    user's own distance to the sub-satellite point. Rows 4 and 5 are free.
-    The draws may be rows 4 and 5, which the disk map reads first; they,
-    u_radius and u_angle are overwritten. The returned boolean mask is
-    True for users that see the satellite; the others' values are
-    meaningless.
+    (its inverse map) and row 2 each user's own distance to the
+    sub-satellite point, from which _magnitude_at_distance gives the
+    envelope. Row 3 is free. The draws may be rows 2 and 3, which the disk
+    map reads first; they, u_radius and u_angle are overwritten. The
+    returned boolean mask is True for users that see the satellite; the
+    others' values are meaningless.
     """
     n = u_radius.size
     cfg = scenario.cfg
-    x, y, z, bound, s, scratch = (row[:n] for row in work)
+    x, y, z, s = (row[:n] for row in work)
     _disk_points(u_radius, u_angle, scenario.rho, x, y, u_radius)
     # Each user's offset to the sub-satellite point, r_hat along x (on
     # track) or y. The ground track runs along x, so over r_E the offset is
@@ -293,7 +293,6 @@ def _batch_magnitudes(
     np.square(y, out=s)
     z += s
     np.sqrt(z, out=z)
-    _magnitude_at_distance(z, dist, out=bound, work=scratch)
     phase, theta = x, y
     phase /= cfg.r_e
     theta /= cfg.r_e
@@ -379,9 +378,12 @@ def _ks_upper(cum: np.ndarray, n: int, cdf: np.ndarray) -> float:
     and 1 outside the edges (terms taken alone, not copied) the bound is
     max_j max(C_j - F_{j-1}, F_j - C_{j-1}).
     """
-    emp = cum / n
-    above = max(emp[0], np.max(emp[1:] - cdf[:-1]), 1.0 - cdf[-1])
-    return float(max(above, cdf[0], np.max(cdf[1:] - emp[:-1]), 1.0 - emp[-1]))
+    gap = np.divide(cum[1:], n)
+    gap -= cdf[:-1]
+    above = max(cum[0] / n, np.max(gap), 1.0 - cdf[-1])
+    np.divide(cum[:-1], n, out=gap)
+    np.subtract(cdf[1:], gap, out=gap)
+    return float(max(above, cdf[0], np.max(gap), 1.0 - cum[-1] / n))
 
 
 def run_scenario(
@@ -426,7 +428,7 @@ def run_scenario(
     # batch size: _BATCH, or the largest share's users when fewer. Counts
     # are int32: none exceeds MAX_USERS < 2^31.
     batch = min(_BATCH, scenario.n_users * max(sum(t for _, t in s) for s in shares))
-    rows = np.empty((workers, 6, batch))
+    rows = np.empty((workers, 4, batch))
     ks_acc = np.zeros((workers, 2, ks_edges.size + 1), dtype=np.int32)
     grid_acc = np.zeros((workers, 2, grid.size + 1), dtype=np.int32)
 
@@ -434,12 +436,13 @@ def run_scenario(
         """Add worker w's per-bin counts of the KS edges to ks_acc[w] and,
         for values in mixed KS bins, of the grid to grid_acc[w] (rows:
         exact, envelope); return its exclusions. Each batch's draws fill
-        rows 4 and 5 (a share's last batch only their leading part), later
-        the mixed values and, as intp, the bin indices.
+        rows 2 and 3 (a share's last batch only their leading part). The
+        exact row is counted first; the envelope then overwrites it, and
+        row 3 holds, as intp, the bin indices.
         A batch with every user visible allocates only masks, under a row."""
         work, ks_counts, grid_counts = rows[w], ks_acc[w], grid_acc[w]
         # An int32 one keeps np.add.at on its fast loop; a Python 1 is 25x slower.
-        values_out, bins, one = work[4], work[5].view(np.intp), np.int32(1)
+        bins, one = work[3].view(np.intp), np.int32(1)
 
         def add_counts(
             row: int, values: np.ndarray, z: np.ndarray, visible: np.ndarray | None
@@ -452,24 +455,27 @@ def run_scenario(
             inside = np.take(mixed, j)
             n_mixed = np.count_nonzero(inside)
             if n_mixed:
-                # The mixed values (in row 4 unless all are mixed), and a
-                # copy in z (free again) that the grid index overwrites
+                # z is free again. Unless all are mixed, the mixed values
+                # move there and the values' row is free instead; the
+                # free one takes a copy that the grid index overwrites
                 # with guesses.
-                if n_mixed < values.size:
-                    values = np.compress(inside, values, out=values_out[:n_mixed])
                 c = z[:n_mixed]
+                if n_mixed < values.size:
+                    values, c = np.compress(inside, values, out=c), values[:n_mixed]
                 np.copyto(c, values)
                 np.add.at(grid_counts[row], grid_index(values, c, bins), one)
 
         excluded = 0
-        for u_radius, u_angle in _uniform_batches(shares[w], scenario.n_users, work[4], work[5]):
+        for u_radius, u_angle in _uniform_batches(shares[w], scenario.n_users, work[2], work[3]):
             n = u_radius.size
             visible = _batch_magnitudes(scenario, dist, u_radius, u_angle, work)
             hidden = n - int(np.count_nonzero(visible))
             excluded += hidden
             mask = visible if hidden else None
-            add_counts(1, work[3, :n], work[2, :n], mask)
-            add_counts(0, work[0, :n], work[1, :n], mask)
+            exact, distance, own_distance = work[:3, :n]
+            add_counts(0, exact, distance, mask)
+            envelope = _magnitude_at_distance(own_distance, dist, out=exact, work=distance)
+            add_counts(1, envelope, own_distance, mask)
         return excluded
 
     # Worker 0 runs on the calling thread; errors are raised after the joins.

@@ -391,7 +391,7 @@ def _mapped_users(
         cluster_center_on_track=on_track,
     )
     n = len(u_angle)
-    work = np.empty((6, n))
+    work = np.empty((4, n))
     visible = montecarlo._batch_magnitudes(
         sc, sc.law, np.ones(n), np.array(u_angle, dtype=float), work
     )

@@ -111,7 +111,7 @@ def test_exact_doppler_raises_below_horizon():
     sc = _scenario(r_hat=3.5e6, rho=1e3)
     assert not _exact(0.0, 0.0, sc)[1]
     visible = montecarlo._batch_magnitudes(
-        sc, sc.law, np.zeros(1), np.zeros(1), np.empty((6, 1))
+        sc, sc.law, np.zeros(1), np.zeros(1), np.empty((4, 1))
     )
     assert visible.tolist() == [False]
 
@@ -133,12 +133,12 @@ def test_bound_dominates_exact_per_sample():
     rng = np.random.default_rng(99)
     for on_track in (True, False):
         sc = _scenario(rho=150e3, r_hat=300e3, cluster_center_on_track=on_track)
-        work = np.empty((6, 2000))
+        work = np.empty((4, 2000))
         visible = montecarlo._batch_magnitudes(
             sc, sc.law, rng.random(2000), rng.random(2000), work
         )
         assert np.all(visible)
-        exact, bound = work[0], work[3]
+        exact, bound = work[0], _magnitude_at_distance(work[2], sc.law)
         assert np.all(exact <= bound)
 
 
@@ -367,11 +367,11 @@ def _reference_samples(sc: ScenarioConfig):
         count = trials * sc.n_users
         u_radius = rng.random(count)
         u_angle = rng.random(count)
-        work = np.empty((6, count))
+        work = np.empty((4, count))
         visible = montecarlo._batch_magnitudes(sc, sc.law, u_radius, u_angle, work)
         excluded += count - int(np.count_nonzero(visible))
         rows[0].append(work[0][visible])
-        rows[1].append(work[3][visible])
+        rows[1].append(_magnitude_at_distance(work[2], sc.law)[visible])
     return np.concatenate(rows[0]), np.concatenate(rows[1]), excluded
 
 
@@ -576,10 +576,10 @@ def test_report_equals_reference_built_from_samples(
         assert ks == montecarlo._ks_upper(at_or_below, samples.size, ks_law)
 
 
-def _traced_peak(**overrides) -> int:
+def _traced_peak(threads: int = 1, **overrides) -> int:
     tracemalloc.start()
     try:
-        run_scenario(_scenario(**overrides))
+        run_scenario(_scenario(**overrides), threads=threads)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -596,16 +596,29 @@ def test_peak_memory_flat_in_trial_count():
 
 def test_post_sampling_passes_never_set_the_peak():
     # 2^20 users on one thread reach the 2^16 KS edges. While sampling, the
-    # run holds the worker's six float rows, the padded KS edges, their
+    # run holds the worker's four float rows, the padded KS edges, their
     # mixed flags, the int32 counts and a batch's masks. The passes after
     # it (the grid columns' tables, the analytic CDF at the KS edges and
     # the KS bounds) must fit in what the freed rows leave.
     edges = montecarlo._MAX_KS_EDGES
-    rows = 6 * 8 * montecarlo._BATCH
+    rows = 4 * 8 * montecarlo._BATCH
     ks_tables = 8 * (edges + 2) + (edges + 1) + 2 * 4 * (edges + 1)
     masks = 8 * montecarlo._BATCH
     _traced_peak()  # one-time allocations
     assert _traced_peak(trials=1 << 17) <= rows + ks_tables + masks
+
+
+def test_each_added_worker_holds_its_rows_counts_and_masks():
+    # 2^20 users reach the 2^16 KS edges, and each of three workers gets
+    # whole batches. A worker beyond the first adds its four float rows, its
+    # int32 KS and grid counts and, while it counts, a batch's masks; the
+    # tables that all workers share are held once.
+    edges, batch = montecarlo._MAX_KS_EDGES, montecarlo._BATCH
+    grid_points = _scenario().grid_points
+    per_worker = 4 * 8 * batch + 2 * 4 * (edges + 1) + 2 * 4 * (grid_points + 1) + 8 * batch
+    _traced_peak()  # one-time allocations
+    one, three = _traced_peak(1, trials=1 << 17), _traced_peak(3, trials=1 << 17)
+    assert (three - one) / 2 <= per_worker, (one, three)
 
 
 @pytest.mark.parametrize("on_track", [True, False], ids=["on_track", "cross_track"])
