@@ -152,9 +152,6 @@ def _resolve(values: dict[str, float]) -> ScenarioConfig:
         merged["omega_s_rad_s"] = _OMEGA_S_BY_H_KM[h_km]
     merged.setdefault("r_hat_km", 2.0 * merged["rho_km"])
     counts = {key: merged[key] for key in _INT_KEYS if key in merged}
-    for key, value in counts.items():
-        if not _integral(value):
-            raise ConfigValidationError(f"{key} must be an integer, got {value}")
     try:
         satellite = SatelliteConfig(
             f_c=merged["fc_ghz"] * 1e9,

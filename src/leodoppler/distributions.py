@@ -24,9 +24,9 @@ from .geometry import (
     MAX_DOPPLER_SCALE_HZ,
     MIN_DOPPLER_SCALE_HZ,
     SatelliteConfig,
+    _check_count,
     _check_length,
     _check_range,
-    _integral,
     param_A,
 )
 
@@ -245,11 +245,10 @@ def doppler_quantile(p, dist: DopplerMagnitudeDistribution):
     lo_edge = doppler_support_min(dist)
     hi_edge = doppler_support_max(dist)
     lo = np.full_like(pp, lo_edge)
-    hi = np.full_like(pp, hi_edge)
-    interior = (pp > 0.0) & (pp < 1.0)
+    hi = np.where(pp == 0.0, lo_edge, hi_edge)
     # Entries still bisecting; each leaves once its own bracket is narrow
     # enough, so an array call equals the scalar call for every entry.
-    active = np.flatnonzero(interior)
+    active = np.flatnonzero((pp > 0.0) & (pp < 1.0))
     for _ in range(_QUANTILE_MAX_STEPS):
         tol = np.maximum(_QUANTILE_TOL_HZ, 2.0 * np.spacing(hi[active]))
         active = active[(hi[active] - lo[active]) > tol]
@@ -259,17 +258,14 @@ def doppler_quantile(p, dist: DopplerMagnitudeDistribution):
         reached = doppler_cdf(mid, dist) >= pp[active]
         hi[active[reached]] = mid[reached]
         lo[active[~reached]] = mid[~reached]
-    out = np.where(interior, hi, np.where(pp == 0.0, lo_edge, hi_edge))
-    return _scalar_or_array(out, scalar)
+    return _scalar_or_array(hi, scalar)
 
 
 def _order_statistic(x, dist: DopplerMagnitudeDistribution, n: int, minimum: bool):
     """CDF of the minimum or maximum magnitude over n independent users,
     from the single-user CDF F: 1 - (1 - F)^n for the minimum, F^n for the
     maximum."""
-    if not (_integral(n) and n >= 1):
-        raise ValueError(f"cluster size n must be a positive integer, got {n}")
-    n = int(n)
+    n = _check_count("cluster size n", n)
     f = np.asarray(doppler_cdf(x, dist))
     out = 1.0 - (1.0 - f) ** n if minimum else f**n
     return float(out) if out.ndim == 0 else out

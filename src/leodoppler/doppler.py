@@ -120,8 +120,7 @@ def epsilon_accuracy_offsets(
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if not (0.0 < theta <= 1.0):
-        raise ValueError(f"Theta must lie in (0, 1], got {theta}")
+    PassGeometry(theta)  # checks Theta
     if theta == 1.0:
         return None
     remainder = 1.0 - epsilon

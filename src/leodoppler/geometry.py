@@ -54,6 +54,17 @@ def _check_length(name: str, value: float, lo: float = MIN_LENGTH_M) -> None:
     _check_range(name, value, lo, MAX_LENGTH_M, "m")
 
 
+def _check_count(name: str, value, lo: int = 1, hi: int | None = None) -> int:
+    """value as an int; raise ValueError unless it is a whole number from lo
+    to hi (no upper bound when hi is None)."""
+    if not _integral(value):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if not (lo <= value and (hi is None or value <= hi)):
+        bound = f"at least {lo}" if hi is None else f"{lo} to {hi}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
 class BelowHorizonError(Exception):
     """Raised when the satellite is below the local horizon of a user."""
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from threading import Thread
 
 import numpy as np
@@ -56,7 +57,7 @@ from .distributions import (
     doppler_support_max,
 )
 from .doppler import _shift
-from .geometry import SatelliteConfig, _above_horizon, _integral, _slant_of_versin
+from .geometry import SatelliteConfig, _above_horizon, _check_count, _slant_of_versin
 from .pointprocess import _disk_points
 
 # Trials are distributed over this many independently seeded chunks
@@ -116,7 +117,7 @@ class ScenarioConfig:
     grid_points: int = 512
 
     def __post_init__(self) -> None:
-        # Building the law checks rho and r_hat (and A, via cfg).
+        # Building the law, which is kept, checks rho and r_hat (and A, via cfg).
         self.law
         limit = math.pi * self.cfg.r_e / 4.0
         if self.rho + self.r_hat > limit:
@@ -124,28 +125,22 @@ class ScenarioConfig:
                 f"cluster reaches {self.rho + self.r_hat:.1f} m from the sub-satellite "
                 f"point, beyond the tangent-plane validity radius {limit:.1f} m"
             )
-        if not (_integral(self.n_users) and self.n_users >= 1):
-            raise ValueError(f"n_users must be a positive integer, got {self.n_users}")
-        if not (_integral(self.trials) and self.trials >= 1):
-            raise ValueError(f"trials must be a positive integer, got {self.trials}")
+        for key, lo, hi in (
+            ("n_users", 1, None),
+            ("trials", 1, None),
+            ("seed", 0, 2**64 - 1),
+            ("grid_points", 2, MAX_GRID_POINTS),
+        ):
+            object.__setattr__(self, key, _check_count(key, getattr(self, key), lo, hi))
         if self.n_users * self.trials > MAX_USERS:
             raise ValueError(
                 f"n_users * trials must be at most {MAX_USERS}, "
                 f"got {self.n_users} * {self.trials}"
             )
-        if not (_integral(self.seed) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not (_integral(self.grid_points) and 2 <= self.grid_points <= MAX_GRID_POINTS):
-            raise ValueError(
-                f"grid_points must be 2 to {MAX_GRID_POINTS}, got {self.grid_points}"
-            )
-        # Whole floats pass the checks above; the sampler needs ints.
-        for key in ("n_users", "trials", "seed", "grid_points"):
-            object.__setattr__(self, key, int(getattr(self, key)))
 
-    @property
+    @cached_property
     def law(self) -> DopplerMagnitudeDistribution:
-        """Closed-form magnitude law of the scene, built on each read."""
+        """Closed-form magnitude law of the scene, built once."""
         return DopplerMagnitudeDistribution.for_satellite(self.cfg, self.rho, self.r_hat)
 
 
@@ -258,22 +253,20 @@ def _uniform_batches(
 
 def _batch_magnitudes(
     scenario: ScenarioConfig,
-    dist: DopplerMagnitudeDistribution,
     u_radius: np.ndarray,
     u_angle: np.ndarray,
     work: np.ndarray,
 ) -> np.ndarray:
     """Write a batch's magnitudes into work's rows; return who is visible.
 
-    dist is scenario.law and work is a (4, >= batch) float array. Over
-    the batch's first n entries, row 0 then holds the exact magnitudes,
-    row 1 the planar distance at which the envelope takes each of them
-    (its inverse map) and row 2 each user's own distance to the
-    sub-satellite point, from which _magnitude_at_distance gives the
-    envelope. Row 3 is free. The draws may be rows 2 and 3, which the disk
-    map reads first; they, u_radius and u_angle are overwritten. The
-    returned boolean mask is True for users that see the satellite; the
-    others' values are meaningless.
+    work is a (4, >= batch) float array. Over the batch's first n entries,
+    row 0 then holds the exact magnitudes, row 1 the planar distance at
+    which the envelope takes each of them (its inverse map) and row 2 each
+    user's own distance to the sub-satellite point, from which
+    _magnitude_at_distance gives the envelope. Row 3 is free. The draws may
+    be rows 2 and 3, which the disk map reads first; they, u_radius and
+    u_angle are overwritten. The returned boolean mask is True for users
+    that see the satellite; the others' values are meaningless.
     """
     n = u_radius.size
     cfg = scenario.cfg
@@ -311,7 +304,7 @@ def _batch_magnitudes(
     # An exact magnitude at or above A has no distance; the NaN it gets
     # only makes the index search for that value.
     with np.errstate(invalid="ignore", divide="ignore"):
-        _distance_of_magnitude(chi, dist, out=theta, work=s)
+        _distance_of_magnitude(chi, scenario.law, out=theta, work=s)
     return visible
 
 
@@ -402,8 +395,7 @@ def run_scenario(
     Returns:
         ComparisonReport with per-grid CDF columns and summary statistics.
     """
-    if not (_integral(threads) and threads >= 1):
-        raise ValueError(f"thread count must be a positive integer, got {threads}")
+    threads = _check_count("thread count", threads)
     if x_max is not None and not math.isfinite(x_max):
         raise ValueError(f"x_max must be finite, got {x_max}")
     dist = scenario.law
@@ -419,7 +411,7 @@ def run_scenario(
     mixed = np.searchsorted(grid, padded[1:]) > np.searchsorted(grid, padded[:-1], "right")
 
     jobs = _chunk_jobs(scenario)
-    workers = min(int(threads), len(jobs))
+    workers = min(threads, len(jobs))
     shares = [jobs[w::workers] for w in range(workers)]
     # Every worker's batch rows and counts, allocated here before any
     # worker starts: per batch, rows cost 5e4-1e5 page faults per 1e7
@@ -468,7 +460,7 @@ def run_scenario(
         excluded = 0
         for u_radius, u_angle in _uniform_batches(shares[w], scenario.n_users, work[2], work[3]):
             n = u_radius.size
-            visible = _batch_magnitudes(scenario, dist, u_radius, u_angle, work)
+            visible = _batch_magnitudes(scenario, u_radius, u_angle, work)
             hidden = n - int(np.count_nonzero(visible))
             excluded += hidden
             mask = visible if hidden else None

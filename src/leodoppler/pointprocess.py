@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PlanarPoint, _check_length, _integral
+from .geometry import PlanarPoint, _check_count, _check_length
 
 _CSV_HEADER = "cluster_id,user_id,x_m,y_m"
 
@@ -50,8 +50,7 @@ class CellModel:
                 f"cluster radius must be at most r_cell, got {self.rho} "
                 f"with r_cell {self.r_cell}"
             )
-        if not (_integral(self.n) and self.n >= 1):
-            raise ValueError(f"users per cluster n must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", _check_count("users per cluster n", self.n))
 
 
 @dataclass(frozen=True)
@@ -135,9 +134,8 @@ def sample_uniform_disk(
             sample bit for bit.
     """
     _check_length("disk radius", rho)
-    if not (_integral(n) and n >= 1):
-        raise ValueError(f"user count n must be a positive integer, got {n}")
-    users = _disk_offsets(rho, int(n), rng) + np.array([center.x, center.y])
+    n = _check_count("user count n", n)
+    users = _disk_offsets(rho, n, rng) + np.array([center.x, center.y])
     return ClusterSample(center, users)
 
 
@@ -153,8 +151,7 @@ def sample_cell(model: CellModel, rng: np.random.Generator) -> list[ClusterSampl
     mean_parents = model.lambda_c * math.pi * model.r_cell**2
     n_parents = int(rng.poisson(mean_parents))
     centres = _disk_offsets(model.r_cell, n_parents, rng)
-    n = int(model.n)
-    users = _disk_offsets(model.rho, n_parents * n, rng).reshape(n_parents, n, 2)
+    users = _disk_offsets(model.rho, n_parents * model.n, rng).reshape(n_parents, model.n, 2)
     users += centres[:, np.newaxis, :]
     return [
         ClusterSample(PlanarPoint(float(cx), float(cy)), cluster)

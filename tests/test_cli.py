@@ -35,6 +35,7 @@ from leodoppler.cli import (
     main,
     parse_config,
 )
+from leodoppler.distributions import DopplerMagnitudeDistribution
 
 
 def _write_config(tmp_path, text: str):
@@ -344,6 +345,16 @@ def test_figure_scenarios_fig4():
         "fig4_h1200km_rho100km", "fig4_h1200km_rho200km",
     ]
     assert pairs[2][1].cfg.omega_s == 9.5809e-4
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4"])
+def test_each_figure_scenario_carries_its_own_law(preset):
+    # The law is built once with its scene; replace() builds a new scene.
+    base = default_config()
+    assert base.law is base.law
+    for _, sc in figure_scenarios(preset, base):
+        assert sc.law is sc.law
+        assert sc.law == DopplerMagnitudeDistribution.for_satellite(sc.cfg, sc.rho, sc.r_hat)
 
 
 def test_figure_scenarios_rejects_unknown_preset():

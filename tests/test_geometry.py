@@ -7,6 +7,7 @@ spherical elevation, and algebraic identities where one exists.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -16,7 +17,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leodoppler import montecarlo
-from leodoppler.distributions import DopplerMagnitudeDistribution, _magnitude_at_distance
+from leodoppler.cli import ConfigValidationError, _resolve
+from leodoppler.distributions import (
+    DopplerMagnitudeDistribution,
+    _magnitude_at_distance,
+    doppler_support_max,
+    max_doppler_cdf,
+    min_doppler_cdf,
+)
 from leodoppler.doppler import PassGeometry, doppler_exact
 from leodoppler.geometry import (
     EARTH_RADIUS_M,
@@ -32,7 +40,7 @@ from leodoppler.geometry import (
     orbital_radius,
     slant_range,
 )
-from leodoppler.pointprocess import _disk_points
+from leodoppler.pointprocess import CellModel, _disk_points, sample_uniform_disk
 
 CFG600 = SatelliteConfig(f_c=2e9, h=600e3, omega_s=1.1e-3)
 CFG1200 = SatelliteConfig(f_c=2e9, h=1200e3, omega_s=9.5809e-4)
@@ -51,6 +59,91 @@ def test_config_validation_rejects_bad_fields():
         SatelliteConfig(f_c=2e9, h=600e3, omega_s=1.1e-3, theta_i=4.0)
     with pytest.raises(ValueError):
         SatelliteConfig(f_c=2e9, h=600e3, omega_s=1.1e-3, r_e=0.0)
+    for omega_e in (-1e-5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="Earth rotation rate"):
+            SatelliteConfig(f_c=2e9, h=600e3, omega_s=1.1e-3, omega_e=omega_e)
+
+
+# ---------------------------------------------------------------- counts ----
+
+def _scene(**counts) -> montecarlo.ScenarioConfig:
+    counts = {"n_users": 8, "trials": 10, "seed": 1, "grid_points": 64, **counts}
+    return montecarlo.ScenarioConfig(cfg=CFG600, rho=100e3, r_hat=200e3, **counts)
+
+
+_LAW = DopplerMagnitudeDistribution.for_satellite(CFG600, 100e3, 200e3)
+_GRID = np.linspace(0.0, doppler_support_max(_LAW), 64)
+
+
+def _report_bytes(report) -> tuple:
+    return report.cdf_emp_exact.tobytes(), report.cdf_emp_bound.tobytes(), report.ks_exact
+
+
+_SCENE_COUNTS = (
+    ("n_users", 1, None),
+    ("trials", 1, None),
+    ("seed", 0, 2**64 - 1),
+    ("grid_points", 2, montecarlo.MAX_GRID_POINTS),
+)
+
+
+# (name in the message, lowest, highest or None, call that stores or uses
+# the count, error raised). A stored count is returned as stored; the other
+# calls give results that == compares.
+_COUNTS = [
+    *(
+        pytest.param(
+            key, lo, hi, lambda v, key=key: getattr(_scene(**{key: v}), key), ValueError,
+            id=f"ScenarioConfig.{key}",
+        )
+        for key, lo, hi in _SCENE_COUNTS
+    ),
+    pytest.param(
+        "thread count", 1, None, lambda v: _report_bytes(montecarlo.run_scenario(_scene(), v)),
+        ValueError, id="run_scenario.threads",
+    ),
+    pytest.param(
+        "cluster size n", 1, None, lambda v: min_doppler_cdf(_GRID, _LAW, v).tobytes(),
+        ValueError, id="min_doppler_cdf.n",
+    ),
+    pytest.param(
+        "cluster size n", 1, None, lambda v: max_doppler_cdf(_GRID, _LAW, v).tobytes(),
+        ValueError, id="max_doppler_cdf.n",
+    ),
+    pytest.param(
+        "users per cluster n", 1, None,
+        lambda v: CellModel(r_cell=1e4, lambda_c=1e-8, rho=1e3, n=v).n,
+        ValueError, id="CellModel.n",
+    ),
+    pytest.param(
+        "user count n", 1, None,
+        lambda v: sample_uniform_disk(
+            PlanarPoint(0.0, 0.0), 1e3, v, np.random.default_rng(5)
+        ).users.tobytes(),
+        ValueError, id="sample_uniform_disk.n",
+    ),
+    *(
+        pytest.param(
+            key, lo, hi, lambda v, key=key: getattr(_resolve({"h_km": 600.0, key: v}), key),
+            ConfigValidationError, id=f"config.{key}",
+        )
+        for key, lo, hi in _SCENE_COUNTS
+    ),
+]
+
+
+@pytest.mark.parametrize("name, lo, hi, call, error", _COUNTS)
+def test_every_count_takes_a_whole_number_within_its_bounds(name, lo, hi, call, error):
+    for bad in (math.nan, math.inf, -math.inf, 2.5):
+        with pytest.raises(error, match=f"^{re.escape(f'{name} must be an integer, got {bad}')}$"):
+            call(bad)
+    bound = f"at least {lo}" if hi is None else f"{lo} to {hi}"
+    for past in (lo - 1,) if hi is None else (lo - 1, hi + 1):
+        with pytest.raises(error, match=f"^{re.escape(f'{name} must be {bound}, got ')}"):
+            call(past)
+    # A whole float is taken as the int it equals.
+    whole, exact = call(8.0), call(8)
+    assert whole == exact and type(whole) is type(exact)
 
 
 def test_speed_of_light_is_exact_si():
@@ -380,7 +473,12 @@ def test_flat_earth_agreement_regime():
 # point become the angles x / r_E and y / r_E.
 
 def _mapped_users(
-    u_angle, rho: float, r_hat: float, cfg: SatelliteConfig = CFG600, on_track: bool = True
+    batch_magnitudes,
+    u_angle,
+    rho: float,
+    r_hat: float,
+    cfg: SatelliteConfig = CFG600,
+    on_track: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact magnitudes and planar distances that _batch_magnitudes gives
     users on the rim of the disk at the given angle fractions (quarter
@@ -390,13 +488,11 @@ def _mapped_users(
         cfg=cfg, rho=rho, r_hat=r_hat, n_users=1, trials=1, seed=0,
         cluster_center_on_track=on_track,
     )
-    n = len(u_angle)
-    work = np.empty((4, n))
-    visible = montecarlo._batch_magnitudes(
-        sc, sc.law, np.ones(n), np.array(u_angle, dtype=float), work
+    exact, z, _, visible = batch_magnitudes(
+        sc, np.ones(len(u_angle)), np.array(u_angle, dtype=float)
     )
     assert np.all(visible)
-    return work[0], work[2]
+    return exact, z
 
 
 def _pass_shift(psi: float, beta: float, cfg: SatelliteConfig) -> float:
@@ -406,24 +502,24 @@ def _pass_shift(psi: float, beta: float, cfg: SatelliteConfig) -> float:
     return abs(doppler_exact(psi / angular_velocity_ecf(cfg), geometry, cfg))
 
 
-def test_plane_to_sphere_axis_points():
+def test_plane_to_sphere_axis_points(batch_magnitudes):
     # Sub-satellite point at the cluster centre: users on the x axis see the
     # on-track pass at central angle rho / r_E, users on the y axis sit at
     # closest approach, where the shift is zero.
     rho = 100e3
-    exact, z = _mapped_users([0.0, 0.25, 0.5, 0.75], rho, r_hat=0.0)
+    exact, z = _mapped_users(batch_magnitudes, [0.0, 0.25, 0.5, 0.75], rho, r_hat=0.0)
     on_track = _pass_shift(rho / EARTH_RADIUS_M, 0.0, CFG600)
     assert on_track > 0.0
     assert exact == pytest.approx([on_track, 0.0, on_track, 0.0], rel=1e-12, abs=0.0)
     assert np.array_equal(z, [rho] * 4)
 
 
-def test_plane_to_sphere_central_angle_composition():
+def test_plane_to_sphere_central_angle_composition(batch_magnitudes):
     # A user 60 km along track and 80 km across it from the sub-satellite
     # point sees the pass with cross-track angle beta = 80 km / r_E at phase
     # psi = 60 km / r_E. cos(gamma) = cos(beta) cos(psi) stays within 1e-6
     # rad of the planar 100 km / r_E; the residual is the spherical excess.
-    exact, z = _mapped_users([0.25], rho=80e3, r_hat=60e3)
+    exact, z = _mapped_users(batch_magnitudes, [0.25], rho=80e3, r_hat=60e3)
     psi, beta = 60e3 / CFG600.r_e, 80e3 / CFG600.r_e
     assert exact[0] == pytest.approx(_pass_shift(psi, beta, CFG600), rel=1e-12)
     assert z[0] == 100e3
@@ -432,7 +528,7 @@ def test_plane_to_sphere_central_angle_composition():
 
 
 @pytest.mark.parametrize("on_track", [True, False])
-def test_exact_row_matches_doppler_exact_at_the_validity_radius(on_track):
+def test_exact_row_matches_doppler_exact_at_the_validity_radius(on_track, batch_magnitudes):
     # The far rim sits pi r_E / 4 from the sub-satellite point, so the
     # angle whose cosine _batch_magnitudes takes as sqrt(1 - sin^2) reaches
     # its bound pi / 4. From 3000 km every user sees the satellite.
@@ -442,7 +538,7 @@ def test_exact_row_matches_doppler_exact_at_the_validity_radius(on_track):
     assert r_hat + rho == limit
     far = 0.5 if on_track else 0.75
     u_angle = np.concatenate((np.arange(32) / 32.0, [far - 1e-9, far + 1e-9]))
-    exact, z = _mapped_users(u_angle, rho, r_hat, cfg, on_track)
+    exact, z = _mapped_users(batch_magnitudes, u_angle, rho, r_hat, cfg, on_track)
     assert exact.size == u_angle.size
     assert z.max() == limit
     # The same planar points, so that only the sphere map is compared.

@@ -106,13 +106,11 @@ def test_exact_doppler_on_track_equals_envelope_at_own_elevation():
         assert abs(chi) == pytest.approx(doppler_bound(alpha, CFG600), rel=1e-12)
 
 
-def test_exact_doppler_raises_below_horizon():
+def test_exact_doppler_raises_below_horizon(batch_magnitudes):
     # The user is hidden, and run_scenario excludes it.
     sc = _scenario(r_hat=3.5e6, rho=1e3)
     assert not _exact(0.0, 0.0, sc)[1]
-    visible = montecarlo._batch_magnitudes(
-        sc, sc.law, np.zeros(1), np.zeros(1), np.empty((4, 1))
-    )
+    *_, visible = batch_magnitudes(sc, np.zeros(1), np.zeros(1))
     assert visible.tolist() == [False]
 
 
@@ -129,16 +127,12 @@ def test_bound_doppler_saturates_at_scale():
     assert far == pytest.approx(a, rel=1e-6)
 
 
-def test_bound_dominates_exact_per_sample():
+def test_bound_dominates_exact_per_sample(batch_magnitudes):
     rng = np.random.default_rng(99)
     for on_track in (True, False):
         sc = _scenario(rho=150e3, r_hat=300e3, cluster_center_on_track=on_track)
-        work = np.empty((4, 2000))
-        visible = montecarlo._batch_magnitudes(
-            sc, sc.law, rng.random(2000), rng.random(2000), work
-        )
+        exact, _, bound, visible = batch_magnitudes(sc, rng.random(2000), rng.random(2000))
         assert np.all(visible)
-        exact, bound = work[0], _magnitude_at_distance(work[2], sc.law)
         assert np.all(exact <= bound)
 
 
@@ -358,7 +352,7 @@ def test_run_scenario_raises_a_started_threads_error(monkeypatch):
 
 # --------------------------------------------------- binned reduction ----
 
-def _reference_samples(sc: ScenarioConfig):
+def _reference_samples(sc: ScenarioConfig, batch_magnitudes):
     """Every chunk drawn whole from one generator, as rng.random(count)
     twice, then transformed; returns (exact, envelope, excluded)."""
     rows, excluded = ([], []), 0
@@ -367,11 +361,10 @@ def _reference_samples(sc: ScenarioConfig):
         count = trials * sc.n_users
         u_radius = rng.random(count)
         u_angle = rng.random(count)
-        work = np.empty((4, count))
-        visible = montecarlo._batch_magnitudes(sc, sc.law, u_radius, u_angle, work)
+        exact, _, envelope, visible = batch_magnitudes(sc, u_radius, u_angle)
         excluded += count - int(np.count_nonzero(visible))
-        rows[0].append(work[0][visible])
-        rows[1].append(_magnitude_at_distance(work[2], sc.law)[visible])
+        rows[0].append(exact[visible])
+        rows[1].append(envelope[visible])
     return np.concatenate(rows[0]), np.concatenate(rows[1]), excluded
 
 
@@ -471,13 +464,13 @@ def test_edge_index_equals_searchsorted(r_hat, grid_top):
 
 
 @pytest.mark.parametrize("on_track", [True, False])
-def test_grid_top_on_a_ks_edge_matches_reference(on_track):
+def test_grid_top_on_a_ks_edge_matches_reference(on_track, batch_magnitudes):
     # The grid's top is the upper edge of a KS bin that holds a sample, so
     # a grid point ties with a KS edge and the bin below it counts in full.
     sc = _scenario(grid_points=97, cluster_center_on_track=on_track)
     dist = DopplerMagnitudeDistribution.for_satellite(sc.cfg, sc.rho, sc.r_hat)
     ks = montecarlo._ks_edges(dist, sc.n_users * sc.trials)
-    exact, bound, _ = _reference_samples(sc)
+    exact, bound, _ = _reference_samples(sc, batch_magnitudes)
     for samples in (exact, bound):
         top = float(ks[np.searchsorted(ks, np.median(samples))])
         report = run_scenario(sc, x_max=top)
@@ -495,10 +488,10 @@ def test_grid_top_on_a_ks_edge_matches_reference(on_track):
         {"n_users": 3, "trials": 7, "cluster_center_on_track": False},
     ],
 )
-def test_grid_columns_equal_exact_empirical_cdf(overrides):
+def test_grid_columns_equal_exact_empirical_cdf(overrides, batch_magnitudes):
     sc = _scenario(**overrides, grid_points=256)
     report = run_scenario(sc, threads=2)
-    exact, bound, excluded = _reference_samples(sc)
+    exact, bound, excluded = _reference_samples(sc, batch_magnitudes)
     assert report.excluded == excluded
     grid = report.x_hz
     assert np.array_equal(report.cdf_emp_exact, EmpiricalCdf.from_samples(exact).evaluate(grid))
@@ -514,14 +507,14 @@ def test_grid_columns_equal_exact_empirical_cdf(overrides):
         ({}, 30e3),
     ],
 )
-def test_reported_ks_brackets_exact_statistic(overrides, x_max):
+def test_reported_ks_brackets_exact_statistic(overrides, x_max, batch_magnitudes):
     sc = _scenario(**overrides, grid_points=128)
     report = run_scenario(sc, x_max=x_max)
     dist = DopplerMagnitudeDistribution.for_satellite(sc.cfg, sc.rho, sc.r_hat)
     edges = montecarlo._ks_edges(dist, sc.n_users * sc.trials)
     law_at_edges = doppler_cdf(edges, dist)
     bin_mass = np.max(np.diff(np.concatenate(([0.0], law_at_edges, [1.0]))))
-    exact, bound, _ = _reference_samples(sc)
+    exact, bound, _ = _reference_samples(sc, batch_magnitudes)
     # The bracket's slack sits far inside the sampling error 1/sqrt(n).
     assert bin_mass < 0.1 / math.sqrt(exact.size)
     for reported, samples in ((report.ks_exact, exact), (report.ks_bound, bound)):
@@ -550,13 +543,13 @@ def test_reported_ks_brackets_exact_statistic(overrides, x_max):
     on_track=False, threads=1,
 )
 def test_report_equals_reference_built_from_samples(
-    rho, r_hat, x_max, grid_points, n_users, trials, on_track, threads
+    batch_magnitudes, rho, r_hat, x_max, grid_points, n_users, trials, on_track, threads
 ):
     sc = _scenario(
         rho=rho, r_hat=r_hat, n_users=n_users, trials=trials, seed=11,
         cluster_center_on_track=on_track, grid_points=grid_points,
     )
-    exact, bound, excluded = _reference_samples(sc)
+    exact, bound, excluded = _reference_samples(sc, batch_magnitudes)
     if exact.size == 0:
         with pytest.raises(ValueError, match="below horizon"):
             run_scenario(sc, threads=threads, x_max=x_max)
