@@ -165,14 +165,14 @@ class DopplerMagnitudeDistribution:
 
 def _magnitude_at_distance(z, dist: DopplerMagnitudeDistribution, out=None, work=None):
     """Envelope magnitude A z / sqrt(h^2 + z^2) at planar distance z >= 0;
-    out (may be z) receives the result and work sqrt(h^2 + z^2)."""
+    out receives the result and work (may be z) sqrt(h^2 + z^2)."""
     # Not np.hypot, which takes about three times as long as np.sqrt.
     # Lengths are at most MAX_LENGTH_M and z at most r_hat + rho, so
     # z^2 + h^2 stays below about 5e300.
+    x = np.multiply(z, dist.a, out=out)
     slant = np.square(z, out=work)
     slant = np.add(slant, dist.h * dist.h, out=work)
     slant = np.sqrt(slant, out=work)
-    x = np.multiply(z, dist.a, out=out)
     return np.divide(x, slant, out=out)
 
 

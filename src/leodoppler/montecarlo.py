@@ -22,13 +22,15 @@ for. An envelope sample's KS bin is guessed from the user's own distance,
 an exact one's from the distance at which the envelope takes its value.
 Once per run, each grid column is the unmixed KS bins up to the grid point
 plus the mixed bins' grid counts up to it. Integer sums do not depend on
-their order, so results are identical for any worker count, and memory is
-O(edges + batch) whatever the number of users: each worker holds four
-float rows of its batch length (1 MiB at 2^15) and int32 counts, all
-allocated before any worker starts, and no pass after sampling holds
-more than the freed rows. The grid columns are exact. The KS distances
-are upper bounds from the counts and the analytic CDF at the edges, above
-the exact statistic by at most one bin's mass.
+their order, so all workers add to one table of int32 counts per edge
+family, one add at a time under a lock, and results are identical for any
+worker count. Memory is O(edges + batch) whatever the number of users:
+each worker holds only four float rows of its batch length (1 MiB at
+2^15) and a batch's masks; the rows and the counts are allocated before
+any worker starts, and no pass after sampling holds more than the freed
+rows. The grid columns are exact. The KS distances are upper bounds from
+the counts and the analytic CDF at the edges, above the exact statistic
+by at most one bin's mass.
 
 Users' positions come from the disk map shared with pointprocess, and
 their distances to the sub-satellite point are sqrt(x^2 + y^2). A user
@@ -44,7 +46,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from threading import Thread
+from threading import Lock, Thread
 
 import numpy as np
 
@@ -66,7 +68,8 @@ from .pointprocess import _disk_points
 _N_CHUNKS = 64
 
 # Users drawn and binned at once; each worker reuses four float64 rows of
-# this length (1 MiB at 2^15). A speed-for-memory trade, measured with six
+# this length (1 MiB at 2^15), which with a batch's masks is all that an
+# added worker holds. A speed-for-memory trade, measured with six
 # rows: at 1e7 users on 2 threads, 2^15 took 3.3 MiB less peak RSS than
 # 2^16 and about 10 % more time per run, as more numpy calls per user mean
 # more waits for the interpreter lock; 2^14 was 35-45 % slower.
@@ -309,15 +312,34 @@ def _batch_magnitudes(
 
 
 def _ks_edges(dist: DopplerMagnitudeDistribution, users: int) -> np.ndarray:
-    """Magnitudes at distances spread evenly over the disk's distance range.
+    """Magnitudes at distances spread evenly over the disk's distance range,
+    padded by -inf before and +inf after.
 
     Even spacing in distance rather than in Hz keeps every bin's mass small
-    where the magnitude map x = A z / sqrt(h^2 + z^2) flattens. The sort
-    guards the order against rounding; it is a no-op in practice.
+    where the magnitude map x = A z / sqrt(h^2 + z^2) flattens. The
+    magnitudes are written into the padded array, and the distances hold
+    the slant once A z is formed, so only the distances are a temporary.
+    The in-place sort guards the order against rounding; it is a no-op in
+    practice.
     """
     m = min(_MAX_KS_EDGES, math.ceil(_KS_EDGES_PER_SQRT_N * math.sqrt(users)))
     z = np.linspace(*_distance_span(dist), m)
-    return np.sort(_magnitude_at_distance(z, dist, out=z))
+    padded = np.empty(m + 2)
+    padded[0], padded[-1] = -np.inf, np.inf
+    _magnitude_at_distance(z, dist, out=padded[1:-1], work=z).sort()
+    return padded
+
+
+def _mixed_bins(padded: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Flags of the bins (padded[j], padded[j + 1]] that hold a grid point
+    strictly inside, found from the grid side: a grid point lies inside
+    the bin of the last padded edge at or below it unless it equals that
+    edge. Temporaries are of the grid's size, not the edges'."""
+    k = np.searchsorted(padded, grid, "right")
+    k -= 1
+    mixed = np.zeros(padded.size - 1, dtype=bool)
+    mixed[k[padded[k] < grid]] = True
+    return mixed
 
 
 class _EdgeIndex:
@@ -325,7 +347,8 @@ class _EdgeIndex:
 
     index(values, c, out) equals np.searchsorted(edges, values, side="left")
     for every float, NaN and +-inf included: bin j is (edges[j-1], edges[j]]
-    with the edges padded by -inf and +inf. The edges are spread evenly in
+    with the edges padded by -inf and +inf, which the caller passes in
+    and which are kept without a copy. The edges are spread evenly in
     a coordinate c, from c_lo at the first edge to c_hi at the last, and
     each value comes with its own c. The bin is guessed as
     ceil((c - c_lo) * scale) clipped to [0, edges.size] and kept only if
@@ -334,12 +357,12 @@ class _EdgeIndex:
     the check are searched for.
     """
 
-    def __init__(self, edges: np.ndarray, c_lo: float, c_hi: float) -> None:
-        self._padded = np.concatenate(([-np.inf], edges, [np.inf]))
-        self.edges = self._padded[1:-1]
+    def __init__(self, padded: np.ndarray, c_lo: float, c_hi: float) -> None:
+        self._padded = padded
+        self.edges = padded[1:-1]
         self._c_lo = c_lo
         with np.errstate(all="ignore"):
-            self._scale = np.float64(edges.size - 1) / (c_hi - c_lo)
+            self._scale = np.float64(self.edges.size - 1) / (c_hi - c_lo)
 
     def __call__(self, values: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Bin indices of values in out[:values.size]; c is overwritten.
@@ -403,36 +426,39 @@ def run_scenario(
     grid = np.linspace(0.0, grid_top, scenario.grid_points)
     cdf_analytic = np.asarray(doppler_cdf(grid, dist))
     users = scenario.n_users * scenario.trials
-    ks_index = _EdgeIndex(_ks_edges(dist, users), *_distance_span(dist))
+    padded = _ks_edges(dist, users)
+    ks_index = _EdgeIndex(padded, *_distance_span(dist))
     ks_edges = ks_index.edges
-    grid_index = _EdgeIndex(grid, 0.0, grid_top)
-    # KS bin j is mixed when a grid point lies strictly inside it.
-    padded = ks_index._padded
-    mixed = np.searchsorted(grid, padded[1:]) > np.searchsorted(grid, padded[:-1], "right")
+    grid_index = _EdgeIndex(np.concatenate(([-np.inf], grid, [np.inf])), 0.0, grid_top)
+    mixed = _mixed_bins(padded, grid)
 
     jobs = _chunk_jobs(scenario)
     workers = min(threads, len(jobs))
     shares = [jobs[w::workers] for w in range(workers)]
-    # Every worker's batch rows and counts, allocated here before any
+    # Every worker's batch rows and the counts, allocated here before any
     # worker starts: per batch, rows cost 5e4-1e5 page faults per 1e7
     # users, and in a started thread they came from glibc's per-thread
     # arenas, which keep their pages after the run. The row length is the
-    # batch size: _BATCH, or the largest share's users when fewer. Counts
-    # are int32: none exceeds MAX_USERS < 2^31.
+    # batch size: _BATCH, or the largest share's users when fewer. All
+    # workers add to one table of counts per edge family, one np.add.at at
+    # a time under the lock; integer sums do not depend on their order.
+    # Counts are int32: none exceeds MAX_USERS < 2^31.
     batch = min(_BATCH, scenario.n_users * max(sum(t for _, t in s) for s in shares))
     rows = np.empty((workers, 4, batch))
-    ks_acc = np.zeros((workers, 2, ks_edges.size + 1), dtype=np.int32)
-    grid_acc = np.zeros((workers, 2, grid.size + 1), dtype=np.int32)
+    ks_counts = np.zeros((2, ks_edges.size + 1), dtype=np.int32)
+    grid_counts = np.zeros((2, grid.size + 1), dtype=np.int32)
+    lock = Lock()
 
     def count(w: int) -> int:
-        """Add worker w's per-bin counts of the KS edges to ks_acc[w] and,
-        for values in mixed KS bins, of the grid to grid_acc[w] (rows:
-        exact, envelope); return its exclusions. Each batch's draws fill
+        """Add worker w's per-bin counts of the KS edges to ks_counts and,
+        for values in mixed KS bins, of the grid to grid_counts (rows:
+        exact, envelope), both shared under the lock; return its
+        exclusions. Each batch's draws fill
         rows 2 and 3 (a share's last batch only their leading part). The
         exact row is counted first; the envelope then overwrites it, and
         row 3 holds, as intp, the bin indices.
         A batch with every user visible allocates only masks, under a row."""
-        work, ks_counts, grid_counts = rows[w], ks_acc[w], grid_acc[w]
+        work = rows[w]
         # An int32 one keeps np.add.at on its fast loop; a Python 1 is 25x slower.
         bins, one = work[3].view(np.intp), np.int32(1)
 
@@ -443,7 +469,8 @@ def run_scenario(
             if visible is not None:
                 values, z = values[visible], z[visible]
             j = ks_index(values, z, bins)
-            np.add.at(ks_counts[row], j, one)
+            with lock:
+                np.add.at(ks_counts[row], j, one)
             inside = np.take(mixed, j)
             n_mixed = np.count_nonzero(inside)
             if n_mixed:
@@ -455,7 +482,9 @@ def run_scenario(
                 if n_mixed < values.size:
                     values, c = np.compress(inside, values, out=c), values[:n_mixed]
                 np.copyto(c, values)
-                np.add.at(grid_counts[row], grid_index(values, c, bins), one)
+                j = grid_index(values, c, bins)
+                with lock:
+                    np.add.at(grid_counts[row], j, one)
 
         excluded = 0
         for u_radius, u_angle in _uniform_batches(shares[w], scenario.n_users, work[2], work[3]):
@@ -490,7 +519,6 @@ def run_scenario(
     excluded = sum(exclusions)
     # Freed before the CDF pass at the KS edges, which can reuse the memory.
     del rows
-    ks_counts, grid_counts = (acc.sum(axis=0, dtype=np.int32) for acc in (ks_acc, grid_acc))
     if excluded == users:
         raise ValueError("satellite below horizon for every sampled user")
     n = users - excluded
@@ -503,7 +531,7 @@ def run_scenario(
     np.cumsum(below, axis=1, dtype=np.int32, out=below)
     cum_grid = below[:, np.searchsorted(ks_edges, grid, "right")]
     cum_grid += np.cumsum(grid_counts[:, :-1], axis=1, dtype=np.int32)
-    del below, mixed, padded, ks_index, grid_index, ks_acc, grid_acc
+    del below, mixed, padded, ks_index, grid_index
     cum_ks = np.cumsum(ks_counts, axis=1, dtype=np.int32, out=ks_counts)[:, :-1]
     # In slices: over all 2^16 edges, doppler_cdf's temporaries would set the peak.
     ks_cdf, step = np.empty_like(ks_edges), _BATCH // 8

@@ -423,10 +423,11 @@ def test_edge_index_equals_searchsorted(r_hat, grid_top):
     dist = DopplerMagnitudeDistribution.for_satellite(CFG600, 100e3, r_hat)
     top = doppler_support_max(dist) if grid_top is None else grid_top
     grid = np.linspace(0.0, top, 512)
-    ks = montecarlo._ks_edges(dist, 10**7)
+    padded_ks = montecarlo._ks_edges(dist, 10**7)
+    ks = padded_ks[1:-1]
     z_lo, z_hi = _distance_span(dist)
-    ks_index = montecarlo._EdgeIndex(ks, z_lo, z_hi)
-    grid_index = montecarlo._EdgeIndex(grid, 0.0, top)
+    ks_index = montecarlo._EdgeIndex(padded_ks, z_lo, z_hi)
+    grid_index = montecarlo._EdgeIndex(np.concatenate(([-np.inf], grid, [np.inf])), 0.0, top)
     a = dist.a
     rng = np.random.default_rng(0)
 
@@ -469,7 +470,7 @@ def test_grid_top_on_a_ks_edge_matches_reference(on_track, batch_magnitudes):
     # a grid point ties with a KS edge and the bin below it counts in full.
     sc = _scenario(grid_points=97, cluster_center_on_track=on_track)
     dist = DopplerMagnitudeDistribution.for_satellite(sc.cfg, sc.rho, sc.r_hat)
-    ks = montecarlo._ks_edges(dist, sc.n_users * sc.trials)
+    ks = montecarlo._ks_edges(dist, sc.n_users * sc.trials)[1:-1]
     exact, bound, _ = _reference_samples(sc, batch_magnitudes)
     for samples in (exact, bound):
         top = float(ks[np.searchsorted(ks, np.median(samples))])
@@ -511,7 +512,7 @@ def test_reported_ks_brackets_exact_statistic(overrides, x_max, batch_magnitudes
     sc = _scenario(**overrides, grid_points=128)
     report = run_scenario(sc, x_max=x_max)
     dist = DopplerMagnitudeDistribution.for_satellite(sc.cfg, sc.rho, sc.r_hat)
-    edges = montecarlo._ks_edges(dist, sc.n_users * sc.trials)
+    edges = montecarlo._ks_edges(dist, sc.n_users * sc.trials)[1:-1]
     law_at_edges = doppler_cdf(edges, dist)
     bin_mass = np.max(np.diff(np.concatenate(([0.0], law_at_edges, [1.0]))))
     exact, bound, _ = _reference_samples(sc, batch_magnitudes)
@@ -557,7 +558,7 @@ def test_report_equals_reference_built_from_samples(
     report = run_scenario(sc, threads=threads, x_max=x_max)
     assert report.excluded == excluded
     dist = DopplerMagnitudeDistribution.for_satellite(sc.cfg, sc.rho, sc.r_hat)
-    ks_edges = montecarlo._ks_edges(dist, n_users * trials)
+    ks_edges = montecarlo._ks_edges(dist, n_users * trials)[1:-1]
     ks_law = doppler_cdf(ks_edges, dist)
     for column, ks, samples in (
         (report.cdf_emp_exact, report.ks_exact, exact),
@@ -601,25 +602,89 @@ def test_post_sampling_passes_never_set_the_peak():
     assert _traced_peak(trials=1 << 17) <= rows + ks_tables + masks
 
 
-def test_each_added_worker_holds_its_rows_counts_and_masks():
+def test_each_added_worker_holds_only_its_rows_and_masks():
     # 2^20 users reach the 2^16 KS edges, and each of three workers gets
-    # whole batches. A worker beyond the first adds its four float rows, its
-    # int32 KS and grid counts and, while it counts, a batch's masks; the
-    # tables that all workers share are held once.
-    edges, batch = montecarlo._MAX_KS_EDGES, montecarlo._BATCH
-    grid_points = _scenario().grid_points
-    per_worker = 4 * 8 * batch + 2 * 4 * (edges + 1) + 2 * 4 * (grid_points + 1) + 8 * batch
+    # whole batches. A worker beyond the first adds only its four float rows
+    # and, while it counts, a batch's masks; the counts, like every other
+    # table, are shared and held once. Counts of its own would add 512 KiB.
+    batch = montecarlo._BATCH
+    per_worker = 4 * 8 * batch + 8 * batch
     _traced_peak()  # one-time allocations
     one, three = _traced_peak(1, trials=1 << 17), _traced_peak(3, trials=1 << 17)
     assert (three - one) / 2 <= per_worker, (one, three)
+
+
+def test_ks_set_up_tables_are_built_without_copies(monkeypatch):
+    # The chunk layout is first asked for once the padded KS edges and
+    # their mixed flags are built. Up to then the run may hold the padded
+    # edges, the distances they are computed from and a few arrays of the
+    # grid's size (the grid, its padded copy, the analytic CDF and that
+    # CDF's temporaries); a sorted copy, a padded copy or a search over
+    # every edge would each add 2^19 bytes. 2^20 users reach the 2^16 edges.
+    class SetUpDone(Exception):
+        pass
+
+    peaks = []
+
+    def stop(scenario):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        raise SetUpDone
+
+    sc = _scenario(trials=1 << 17)
+    run_scenario(_scenario())  # one-time allocations
+    monkeypatch.setattr(montecarlo, "_chunk_jobs", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SetUpDone):
+            run_scenario(sc)
+    finally:
+        tracemalloc.stop()
+    edges = montecarlo._MAX_KS_EDGES
+    grid_arrays = 16 * 8 * sc.grid_points
+    assert peaks[0] <= 8 * (edges + 2) + 8 * edges + grid_arrays, peaks
+
+
+def _mixed_by_two_searches(padded: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Reference mixed flags: bin j holds a grid point strictly inside when
+    fewer grid points lie at or below its lower edge than below its upper."""
+    return np.searchsorted(grid, padded[1:]) > np.searchsorted(grid, padded[:-1], "right")
+
+
+@pytest.mark.parametrize("r_hat", [200e3, 0.0, 2.65e6])
+def test_mixed_bins_equal_two_searches_over_the_edges(r_hat):
+    dist = DopplerMagnitudeDistribution.for_satellite(CFG600, 100e3, r_hat)
+    padded = montecarlo._ks_edges(dist, 10**7)
+    ks, top = padded[1:-1], doppler_support_max(dist)
+    assert ks[-1] == top
+    # Where the disk leaves out the sub-satellite point, every edge lies above 1e3 Hz.
+    assert (ks[0] > 1e3) == (r_hat > 100e3)
+    dup = np.concatenate(([-np.inf], np.repeat(ks[::64], 3), [np.inf]))
+    grids = [
+        np.linspace(0.0, top, 512),  # the default grid, its top on the last edge
+        np.linspace(0.0, 1e3, 512),  # x_max 1e3 Hz
+        np.linspace(1.0001 * top, 2.0 * top, 64),  # above every edge
+        np.linspace(0.0, 2.0 * top, 777),
+        ks[::997],  # exactly on edges
+        np.sort(np.concatenate((ks[::1201], np.nextafter(ks[::1201], np.inf)))),
+    ]
+    for grid in grids:
+        for edges in (padded, dup):
+            got = montecarlo._mixed_bins(edges, grid)
+            assert np.array_equal(got, _mixed_by_two_searches(edges, grid))
+    # A duplicated edge's bins hold nothing strictly inside; a grid point on
+    # the edge leaves them unmixed, one just above mixes the next real bin.
+    on_dup = montecarlo._mixed_bins(dup, dup[1:-1:3].copy())
+    assert not np.any(on_dup)
+    above = montecarlo._mixed_bins(dup, np.nextafter(dup[1:-1:3], np.inf))
+    assert np.array_equal(np.flatnonzero(above), np.arange(3, dup.size - 1, 3))
 
 
 @pytest.mark.parametrize("on_track", [True, False], ids=["on_track", "cross_track"])
 def test_counting_a_batch_allocates_less_than_one_row(monkeypatch, on_track):
     # 2^20 users fill whole batches and reach the 2^16 KS edges. Every user
     # sees the satellite, so the worker indexes into and compacts onto the
-    # run's own rows and adds to its counts in place; a bin count per batch
-    # alone would take 8 (2^16 + 1) bytes, more than a row. Cross-track,
+    # run's own rows and adds to the shared counts in place; a bin count per
+    # batch alone would take 8 (2^16 + 1) bytes, more than a row. Cross-track,
     # every exact value lies in a mixed KS bin, so none is compacted. Each
     # batch is measured from its draw to the next, over the transform and
     # the counting.
