@@ -12,25 +12,25 @@ quantifies both Monte Carlo agreement and the envelope's pessimism.
 Sampling is split into fixed chunks with independent child seeds; each
 of k workers takes every k-th chunk, worker 0 on the calling thread and
 the others on k - 1 started threads. A worker draws its chunks' users in
-batches of at most 2^15 and counts each batch at once into the bins of up
-to 2^16 KS edges, spread evenly in planar distance over the cluster; a
-sample whose KS bin is mixed (holds a grid point strictly inside) is also
-counted in its report grid bin. Both families are evenly spaced in a known
-coordinate (distance, Hz), so a bin is guessed in O(1) and checked against
-the edges on either side; only samples that fail the check are searched
-for. An envelope sample's KS bin is guessed from the user's own distance,
-an exact one's from the distance at which the envelope takes its value.
-Once per run, each grid column is the unmixed KS bins up to the grid point
-plus the mixed bins' grid counts up to it. Integer sums do not depend on
-their order, so all workers add to one table of int32 counts per edge
-family, one add at a time under a lock, and results are identical for any
-worker count. Memory is O(edges + batch) whatever the number of users:
-each worker holds only four float rows of its batch length (1 MiB at
-2^15) and a batch's masks; the rows and the counts are allocated before
-any worker starts, and no pass after sampling holds more than the freed
-rows. The grid columns are exact. The KS distances are upper bounds from
-the counts and the analytic CDF at the edges, above the exact statistic
-by at most one bin's mass.
+batches of at most 2^15 and counts each batch at once into the bins of
+one sorted array: up to 2^16 KS edges, spread evenly in planar distance
+over the cluster, merged with the report grid. Each family is evenly
+spaced in a known coordinate (distance, Hz), so a sample's bin, its
+place among the KS edges plus its place in the grid, is guessed in O(1)
+and checked against the edges on either side; only samples that fail the
+check are searched for. An envelope sample's KS place is guessed from
+the user's own distance, an exact one's from the distance at which the
+envelope takes its value. Once per run, one cumulative sum gives the
+grid columns and the KS edges' counts. Integer sums do not depend on
+their order, so all workers add to one table of int32 counts, one add at
+a time under a lock, and results are identical for any worker count.
+Memory is O(edges + batch) whatever the number of users: each worker
+holds only four float rows of its batch length (1 MiB at 2^15) and a
+batch's masks; the rows and the counts are allocated before any worker
+starts, and no pass after sampling holds more than the freed rows. The
+grid columns are exact. The KS distances are upper bounds from the
+counts and the analytic CDF at the edges, above the exact statistic by
+at most one bin's mass.
 
 Users' positions come from the disk map shared with pointprocess, and
 their distances to the sub-satellite point are sqrt(x^2 + y^2). A user
@@ -311,58 +311,51 @@ def _batch_magnitudes(
     return visible
 
 
-def _ks_edges(dist: DopplerMagnitudeDistribution, users: int) -> np.ndarray:
+def _ks_edges(dist: DopplerMagnitudeDistribution, users: int, grid=()) -> np.ndarray:
     """Magnitudes at distances spread evenly over the disk's distance range,
-    padded by -inf before and +inf after.
+    then the grid, padded by -inf before and +inf after.
 
     Even spacing in distance rather than in Hz keeps every bin's mass small
     where the magnitude map x = A z / sqrt(h^2 + z^2) flattens. The
     magnitudes are written into the padded array, and the distances hold
-    the slant once A z is formed, so only the distances are a temporary.
-    The in-place sort guards the order against rounding; it is a no-op in
-    practice.
+    the slant once A z is formed, so only the distances are a temporary;
+    allocated last, they go back to the top of the heap, where the run's
+    next tables reuse them. The in-place sort guards the magnitudes' order
+    against rounding; it is a no-op in practice.
     """
     m = min(_MAX_KS_EDGES, math.ceil(_KS_EDGES_PER_SQRT_N * math.sqrt(users)))
-    z = np.linspace(*_distance_span(dist), m)
-    padded = np.empty(m + 2)
+    padded = np.empty(m + len(grid) + 2)
     padded[0], padded[-1] = -np.inf, np.inf
-    _magnitude_at_distance(z, dist, out=padded[1:-1], work=z).sort()
+    padded[m + 1 : -1] = grid
+    z = np.linspace(*_distance_span(dist), m)
+    _magnitude_at_distance(z, dist, out=padded[1 : m + 1], work=z).sort()
     return padded
 
 
-def _mixed_bins(padded: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Flags of the bins (padded[j], padded[j + 1]] that hold a grid point
-    strictly inside, found from the grid side: a grid point lies inside
-    the bin of the last padded edge at or below it unless it equals that
-    edge. Temporaries are of the grid's size, not the edges'."""
-    k = np.searchsorted(padded, grid, "right")
-    k -= 1
-    mixed = np.zeros(padded.size - 1, dtype=bool)
-    mixed[k[padded[k] < grid]] = True
-    return mixed
-
-
 class _EdgeIndex:
-    """Bin index of values among one sorted family of edges.
+    """Bin index of values among the KS edges and the report grid, merged.
 
     index(values, c, out) equals np.searchsorted(edges, values, side="left")
     for every float, NaN and +-inf included: bin j is (edges[j-1], edges[j]]
-    with the edges padded by -inf and +inf, which the caller passes in
-    and which are kept without a copy. The edges are spread evenly in
-    a coordinate c, from c_lo at the first edge to c_hi at the last, and
-    each value comes with its own c. The bin is guessed as
-    ceil((c - c_lo) * scale) clipped to [0, edges.size] and kept only if
+    with the sorted edges padded by -inf and +inf, which the caller passes
+    in and which are kept without a copy. The edges are two families, each
+    spread evenly in its own coordinate: m KS edges in c, from c_lo to
+    c_hi, which each value comes with, and the grid in the value itself,
+    from 0 to top. The bin is the number of edges below the value,
+    guessed as ceil((c - c_lo) * scale) clipped to [0, m] plus
+    ceil(value * grid_scale) clipped to [0, grid size], and kept only if
     the edges on either side bracket the value; c may be off by rounding,
     or be any float at all, without changing the result. Values that fail
     the check are searched for.
     """
 
-    def __init__(self, padded: np.ndarray, c_lo: float, c_hi: float) -> None:
+    def __init__(self, padded: np.ndarray, m: int, c_lo: float, c_hi: float, top: float) -> None:
         self._padded = padded
         self.edges = padded[1:-1]
-        self._c_lo = c_lo
+        self._m, self._g, self._c_lo = m, self.edges.size - m, c_lo
         with np.errstate(all="ignore"):
-            self._scale = np.float64(self.edges.size - 1) / (c_hi - c_lo)
+            self._scale = np.float64(m - 1) / (c_hi - c_lo)
+            self._grid_scale = np.float64(self._g - 1) / top
 
     def __call__(self, values: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Bin indices of values in out[:values.size]; c is overwritten.
@@ -374,10 +367,15 @@ class _EdgeIndex:
         with np.errstate(all="ignore"):
             c -= self._c_lo
             c *= self._scale
-        np.ceil(c, out=c)
-        np.fmax(c, 0.0, out=c)
-        np.fmin(c, self.edges.size, out=c)
-        np.copyto(j, c, casting="unsafe")
+            np.ceil(c, out=c)
+            np.fmax(c, 0.0, out=c)
+            np.fmin(c, self._m, out=c)
+            np.copyto(j, c, casting="unsafe")
+            np.multiply(values, self._grid_scale, out=c)
+            np.ceil(c, out=c)
+            np.fmax(c, 0.0, out=c)
+            np.fmin(c, self._g, out=c)
+            np.add(j, c, out=j, casting="unsafe")
         hit = np.take(self._padded, j, out=c, mode="clip") < values
         hit &= values <= np.take(self._padded[1:], j, out=c, mode="clip")
         miss = np.flatnonzero(~hit)
@@ -419,18 +417,20 @@ def run_scenario(
         ComparisonReport with per-grid CDF columns and summary statistics.
     """
     threads = _check_count("thread count", threads)
-    if x_max is not None and not math.isfinite(x_max):
-        raise ValueError(f"x_max must be finite, got {x_max}")
+    if x_max is not None and not 0.0 <= x_max < math.inf:
+        raise ValueError(f"x_max must be finite and nonnegative, got {x_max}")
     dist = scenario.law
     grid_top = doppler_support_max(dist) if x_max is None else float(x_max)
     grid = np.linspace(0.0, grid_top, scenario.grid_points)
     cdf_analytic = np.asarray(doppler_cdf(grid, dist))
     users = scenario.n_users * scenario.trials
-    padded = _ks_edges(dist, users)
-    ks_index = _EdgeIndex(padded, *_distance_span(dist))
-    ks_edges = ks_index.edges
-    grid_index = _EdgeIndex(np.concatenate(([-np.inf], grid, [np.inf])), 0.0, grid_top)
-    mixed = _mixed_bins(padded, grid)
+    # The KS edges and the grid in one padded array, sorted in place; grid
+    # point i lands at at[i], after the KS edges equal to it.
+    padded = _ks_edges(dist, users, grid)
+    m = padded.size - 2 - grid.size
+    at = np.searchsorted(padded[1 : m + 1], grid, "right") + np.arange(grid.size)
+    padded[1:-1].sort()
+    index = _EdgeIndex(padded, m, *_distance_span(dist), grid_top)
 
     jobs = _chunk_jobs(scenario)
     workers = min(threads, len(jobs))
@@ -439,52 +439,31 @@ def run_scenario(
     # worker starts: per batch, rows cost 5e4-1e5 page faults per 1e7
     # users, and in a started thread they came from glibc's per-thread
     # arenas, which keep their pages after the run. The row length is the
-    # batch size: _BATCH, or the largest share's users when fewer. All
-    # workers add to one table of counts per edge family, one np.add.at at
-    # a time under the lock; integer sums do not depend on their order.
-    # Counts are int32: none exceeds MAX_USERS < 2^31.
+    # batch size: _BATCH, or the largest share's users when fewer. Counts
+    # are int32: none exceeds MAX_USERS < 2^31.
     batch = min(_BATCH, scenario.n_users * max(sum(t for _, t in s) for s in shares))
     rows = np.empty((workers, 4, batch))
-    ks_counts = np.zeros((2, ks_edges.size + 1), dtype=np.int32)
-    grid_counts = np.zeros((2, grid.size + 1), dtype=np.int32)
+    counts = np.zeros((2, padded.size - 1), dtype=np.int32)
     lock = Lock()
 
     def count(w: int) -> int:
-        """Add worker w's per-bin counts of the KS edges to ks_counts and,
-        for values in mixed KS bins, of the grid to grid_counts (rows:
-        exact, envelope), both shared under the lock; return its
-        exclusions. Each batch's draws fill
-        rows 2 and 3 (a share's last batch only their leading part). The
-        exact row is counted first; the envelope then overwrites it, and
-        row 3 holds, as intp, the bin indices.
-        A batch with every user visible allocates only masks, under a row."""
+        """Add worker w's per-bin counts (rows: exact, envelope) to the
+        shared counts under the lock; return its exclusions. Each batch's
+        draws fill rows 2 and 3 (a share's last batch only their leading
+        part). The exact row is counted first; the envelope then overwrites
+        it, and row 3 holds, as intp, the bin indices. A batch with every
+        user visible allocates only masks, under a row."""
         work = rows[w]
         # An int32 one keeps np.add.at on its fast loop; a Python 1 is 25x slower.
         bins, one = work[3].view(np.intp), np.int32(1)
 
-        def add_counts(
-            row: int, values: np.ndarray, z: np.ndarray, visible: np.ndarray | None
-        ) -> None:
+        def add_counts(row: int, values: np.ndarray, z: np.ndarray, visible) -> None:
             # Compacted here, so that the copies go before the next batch.
             if visible is not None:
                 values, z = values[visible], z[visible]
-            j = ks_index(values, z, bins)
+            j = index(values, z, bins)
             with lock:
-                np.add.at(ks_counts[row], j, one)
-            inside = np.take(mixed, j)
-            n_mixed = np.count_nonzero(inside)
-            if n_mixed:
-                # z is free again. Unless all are mixed, the mixed values
-                # move there and the values' row is free instead; the
-                # free one takes a copy that the grid index overwrites
-                # with guesses.
-                c = z[:n_mixed]
-                if n_mixed < values.size:
-                    values, c = np.compress(inside, values, out=c), values[:n_mixed]
-                np.copyto(c, values)
-                j = grid_index(values, c, bins)
-                with lock:
-                    np.add.at(grid_counts[row], j, one)
+                np.add.at(counts[row], j, one)
 
         excluded = 0
         for u_radius, u_angle in _uniform_batches(shares[w], scenario.n_users, work[2], work[3]):
@@ -517,26 +496,28 @@ def run_scenario(
     if errors:
         raise errors[0]
     excluded = sum(exclusions)
-    # Freed before the CDF pass at the KS edges, which can reuse the memory.
+    # Freed before the CDF's slices, which can reuse the memory.
     del rows
     if excluded == users:
         raise ValueError("satellite below horizon for every sampled user")
     n = users - excluded
-    # Samples at or below grid point g: the unmixed KS bins' up to the last
-    # KS edge <= g (below[:, i] sums those before bin i) plus the grid
-    # counts up to g. Of the tables this large, only the KS edges and
-    # counts outlive this step.
-    below = np.zeros((2, ks_edges.size + 2), dtype=np.int32)
-    np.multiply(ks_counts, ~mixed, out=below[:, 1:])
-    np.cumsum(below, axis=1, dtype=np.int32, out=below)
-    cum_grid = below[:, np.searchsorted(ks_edges, grid, "right")]
-    cum_grid += np.cumsum(grid_counts[:, :-1], axis=1, dtype=np.int32)
-    del below, mixed, padded, ks_index, grid_index
-    cum_ks = np.cumsum(ks_counts, axis=1, dtype=np.int32, out=ks_counts)[:, :-1]
-    # In slices: over all 2^16 edges, doppler_cdf's temporaries would set the peak.
-    ks_cdf, step = np.empty_like(ks_edges), _BATCH // 8
-    for lo in range(0, ks_edges.size, step):
-        ks_cdf[lo : lo + step] = doppler_cdf(ks_edges[lo : lo + step], dist)
+    # Samples at or below each edge: the grid columns at `at`, the KS
+    # edges' counts everywhere else.
+    cum = np.cumsum(counts, axis=1, dtype=np.int32, out=counts)[:, :-1]
+    cum_grid = cum[:, at]
+    # Each grid point then takes the edge and count of the KS edge before
+    # it (0 before the first). That adds only terms C_k - F_k and F_k - C_k
+    # to _ks_upper's maximum, which a KS pair's terms bound as C grows, so
+    # the bounds are the KS edges' alone, bit for bit, without a copy.
+    edges = padded[1:-1]
+    edges[at], cum[:, at] = 0.0, 0
+    np.maximum.accumulate(edges, out=edges)
+    np.maximum.accumulate(cum, axis=1, out=cum)
+    # The CDF overwrites the edges in slices: over all of them at once,
+    # doppler_cdf's temporaries would set the peak.
+    step = _BATCH // 8
+    for lo in range(0, edges.size, step):
+        edges[lo : lo + step] = doppler_cdf(edges[lo : lo + step], dist)
     cdf_emp_exact = cum_grid[0] / n
     gate = 3.0 * np.sqrt(cdf_analytic * (1.0 - cdf_analytic) / n)
     violations = int(np.sum(cdf_analytic > cdf_emp_exact + gate))
@@ -545,8 +526,8 @@ def run_scenario(
         cdf_analytic=cdf_analytic,
         cdf_emp_exact=cdf_emp_exact,
         cdf_emp_bound=cum_grid[1] / n,
-        ks_bound=_ks_upper(cum_ks[1], n, ks_cdf),
-        ks_exact=_ks_upper(cum_ks[0], n, ks_cdf),
+        ks_bound=_ks_upper(cum[1], n, edges),
+        ks_exact=_ks_upper(cum[0], n, edges),
         dominance_violations=violations,
         excluded=excluded,
     )

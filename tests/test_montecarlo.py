@@ -274,8 +274,8 @@ def test_run_scenario_validation(no_sampling):
     for threads in (math.nan, math.inf, 1.5):
         with pytest.raises(ValueError, match="thread count"):
             run_scenario(_scenario(), threads=threads)
-    for x_max in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="x_max must be finite"):
+    for x_max in (math.inf, -math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="x_max must be finite and nonnegative"):
             run_scenario(_scenario(), x_max=x_max)
 
 
@@ -417,51 +417,97 @@ def _probes(edges: np.ndarray, a: float) -> np.ndarray:
     ))
 
 
+def _merged_index(dist: DopplerMagnitudeDistribution, users: int, top: float, points: int = 512):
+    """The edge index of a run of that many users: its KS edges and a grid
+    of that many points from 0 to top, merged and sorted as run_scenario
+    merges them."""
+    grid = np.linspace(0.0, top, points)
+    padded = montecarlo._ks_edges(dist, users, grid)
+    padded[1:-1].sort()
+    return montecarlo._EdgeIndex(padded, padded.size - 2 - points, *_distance_span(dist), top)
+
+
 @pytest.mark.parametrize("r_hat", [200e3, 0.0, 2.65e6])
-@pytest.mark.parametrize("grid_top", [None, 30e3, 1e3])
+@pytest.mark.parametrize("grid_top", [None, 30e3, 1e3, 0.0])
 def test_edge_index_equals_searchsorted(r_hat, grid_top):
     dist = DopplerMagnitudeDistribution.for_satellite(CFG600, 100e3, r_hat)
     top = doppler_support_max(dist) if grid_top is None else grid_top
-    grid = np.linspace(0.0, top, 512)
-    padded_ks = montecarlo._ks_edges(dist, 10**7)
-    ks = padded_ks[1:-1]
+    # A grid of zeros (x_max 0) has an infinite grid scale, and its points
+    # tie with each other and, where the disk holds the sub-satellite
+    # point, with the lowest KS edge.
+    index = _merged_index(dist, 10**7, top)
+    edges = index.edges
+    assert edges.size == montecarlo._MAX_KS_EDGES + 512
+    # The default grid's top ties with the last KS edge. Where the disk
+    # leaves out the sub-satellite point, every KS edge lies above 1 kHz,
+    # so the 1 kHz grid sits below them all; 30 kHz lies above the support
+    # top unless r_hat is 2650 km.
+    ks = montecarlo._ks_edges(dist, 10**7)[1:-1]
+    assert ks[-1] == doppler_support_max(dist)
+    assert (ks[0] > 1e3) == (r_hat > 100e3)
+    assert (ks[-1] < 30e3) == (r_hat < 1e6)
     z_lo, z_hi = _distance_span(dist)
-    ks_index = montecarlo._EdgeIndex(padded_ks, z_lo, z_hi)
-    grid_index = montecarlo._EdgeIndex(np.concatenate(([-np.inf], grid, [np.inf])), 0.0, top)
-    a = dist.a
     rng = np.random.default_rng(0)
 
-    def lookup(index, v, c):
+    def lookup(v, c):
         return index(v, c, np.empty(v.size, dtype=np.intp))
 
-    for index, edges in ((ks_index, ks), (grid_index, grid)):
-        values = _probes(edges, a)
-        expected = np.searchsorted(edges, values, side="left")
-        # The exact row guesses its KS bin from the distance at which the
-        # envelope takes each value; the grid guesses from the value itself.
-        if index is ks_index:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                c = _distance_of_magnitude(values, dist)
-        else:
-            c = values.copy()
-        assert np.array_equal(lookup(index, values, c), expected)
-        # Any coordinate at all, however wrong, leaves the result unchanged.
-        junk = np.concatenate((
-            rng.uniform(-2.0 * z_hi, 3.0 * z_hi, values.size - 4),
-            [np.nan, np.inf, -np.inf, -0.0],
-        ))
-        assert np.array_equal(lookup(index, values, junk), expected)
+    values = _probes(edges, dist.a)
+    expected = np.searchsorted(edges, values, side="left")
+    # The exact row guesses its KS place from the distance at which the
+    # envelope takes each value; the grid place comes from the value itself.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = _distance_of_magnitude(values, dist)
+    assert np.array_equal(lookup(values, c), expected)
+    # Any coordinate at all, however wrong, leaves the result unchanged.
+    junk = np.concatenate((
+        rng.uniform(-2.0 * z_hi, 3.0 * z_hi, values.size - 4),
+        [np.nan, np.inf, -np.inf, -0.0],
+    ))
+    assert np.array_equal(lookup(values, junk), expected)
     # The envelope row guesses from each user's own distance: here the KS
     # distances, their float neighbours, and distances past both ends.
-    z_ks = np.linspace(z_lo, z_hi, ks.size)
+    z_ks = np.linspace(z_lo, z_hi, montecarlo._MAX_KS_EDGES)
     z = np.concatenate((
         z_ks, np.nextafter(z_ks, -np.inf), np.nextafter(z_ks, np.inf),
         np.linspace(0.0, 2.0 * z_hi, 10_001),
     ))
     z = z[z >= 0.0]
     envelope = _magnitude_at_distance(z, dist)
-    got = lookup(ks_index, envelope, z.copy())
-    assert np.array_equal(got, np.searchsorted(ks, envelope, side="left"))
+    got = lookup(envelope, z.copy())
+    assert np.array_equal(got, np.searchsorted(edges, envelope, side="left"))
+
+
+@pytest.mark.parametrize(
+    "on_track, x_max", [(True, None), (False, None), (True, 30e3)],
+    ids=["on_track", "cross_track", "x_max_30kHz"],
+)
+def test_the_guess_alone_bins_nearly_every_sample(monkeypatch, on_track, x_max):
+    # At 1e7 users, a plain search of a 2^15-value row among the 2^16 KS
+    # edges and the grid took 5.2 ms, against 0.3-0.4 ms with the guess;
+    # the guess must be right for at least 99 % of each row of the first
+    # batch, so that few values fall back to the search.
+    sc = _scenario(trials=1_250_000, grid_points=512, cluster_center_on_track=on_track)
+    top = doppler_support_max(sc.law) if x_max is None else x_max
+    index = _merged_index(sc.law, sc.n_users * sc.trials, top)
+    work = np.empty((4, montecarlo._BATCH))
+    jobs = montecarlo._chunk_jobs(sc)
+    u_radius, u_angle = next(montecarlo._uniform_batches(jobs, sc.n_users, work[2], work[3]))
+    assert np.all(montecarlo._batch_magnitudes(sc, u_radius, u_angle, work))
+    exact, distance, own_distance = work[:3]
+    envelope = _magnitude_at_distance(own_distance, sc.law)
+    searched, search = [], np.searchsorted
+
+    def counted(edges, values, side):
+        searched.append(values.size)
+        return search(edges, values, side=side)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    for values, c in ((exact, distance), (envelope, own_distance)):
+        expected = search(index.edges, values, side="left")
+        searched.clear()
+        assert np.array_equal(index(values, c, np.empty(values.size, dtype=np.intp)), expected)
+        assert sum(searched) <= 0.01 * values.size, searched
 
 
 @pytest.mark.parametrize("on_track", [True, False])
@@ -590,10 +636,12 @@ def test_peak_memory_flat_in_trial_count():
 
 def test_post_sampling_passes_never_set_the_peak():
     # 2^20 users on one thread reach the 2^16 KS edges. While sampling, the
-    # run holds the worker's four float rows, the padded KS edges, their
-    # mixed flags, the int32 counts and a batch's masks. The passes after
-    # it (the grid columns' tables, the analytic CDF at the KS edges and
-    # the KS bounds) must fit in what the freed rows leave.
+    # run holds the worker's four float rows, the padded edges (the KS
+    # edges and the grid merged), the int32 counts and a batch's masks;
+    # the budget's byte per KS edge covers the grid's entries in both
+    # tables. The passes after it (the grid columns, the analytic CDF over
+    # the edges in slices and the KS bounds) must fit in what the freed
+    # rows leave.
     edges = montecarlo._MAX_KS_EDGES
     rows = 4 * 8 * montecarlo._BATCH
     ks_tables = 8 * (edges + 2) + (edges + 1) + 2 * 4 * (edges + 1)
@@ -615,12 +663,13 @@ def test_each_added_worker_holds_only_its_rows_and_masks():
 
 
 def test_ks_set_up_tables_are_built_without_copies(monkeypatch):
-    # The chunk layout is first asked for once the padded KS edges and
-    # their mixed flags are built. Up to then the run may hold the padded
-    # edges, the distances they are computed from and a few arrays of the
-    # grid's size (the grid, its padded copy, the analytic CDF and that
-    # CDF's temporaries); a sorted copy, a padded copy or a search over
-    # every edge would each add 2^19 bytes. 2^20 users reach the 2^16 edges.
+    # The chunk layout is first asked for once the padded edges (the KS
+    # edges and the grid merged) and their index are built. Up to then the
+    # run may hold the padded edges, the distances they are computed from
+    # and a few arrays of the grid's size (the grid, the grid points'
+    # places, the analytic CDF and that CDF's temporaries); a sorted copy,
+    # a padded copy or a search over every edge would each add 2^19 bytes.
+    # 2^20 users reach the 2^16 edges.
     class SetUpDone(Exception):
         pass
 
@@ -644,50 +693,13 @@ def test_ks_set_up_tables_are_built_without_copies(monkeypatch):
     assert peaks[0] <= 8 * (edges + 2) + 8 * edges + grid_arrays, peaks
 
 
-def _mixed_by_two_searches(padded: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Reference mixed flags: bin j holds a grid point strictly inside when
-    fewer grid points lie at or below its lower edge than below its upper."""
-    return np.searchsorted(grid, padded[1:]) > np.searchsorted(grid, padded[:-1], "right")
-
-
-@pytest.mark.parametrize("r_hat", [200e3, 0.0, 2.65e6])
-def test_mixed_bins_equal_two_searches_over_the_edges(r_hat):
-    dist = DopplerMagnitudeDistribution.for_satellite(CFG600, 100e3, r_hat)
-    padded = montecarlo._ks_edges(dist, 10**7)
-    ks, top = padded[1:-1], doppler_support_max(dist)
-    assert ks[-1] == top
-    # Where the disk leaves out the sub-satellite point, every edge lies above 1e3 Hz.
-    assert (ks[0] > 1e3) == (r_hat > 100e3)
-    dup = np.concatenate(([-np.inf], np.repeat(ks[::64], 3), [np.inf]))
-    grids = [
-        np.linspace(0.0, top, 512),  # the default grid, its top on the last edge
-        np.linspace(0.0, 1e3, 512),  # x_max 1e3 Hz
-        np.linspace(1.0001 * top, 2.0 * top, 64),  # above every edge
-        np.linspace(0.0, 2.0 * top, 777),
-        ks[::997],  # exactly on edges
-        np.sort(np.concatenate((ks[::1201], np.nextafter(ks[::1201], np.inf)))),
-    ]
-    for grid in grids:
-        for edges in (padded, dup):
-            got = montecarlo._mixed_bins(edges, grid)
-            assert np.array_equal(got, _mixed_by_two_searches(edges, grid))
-    # A duplicated edge's bins hold nothing strictly inside; a grid point on
-    # the edge leaves them unmixed, one just above mixes the next real bin.
-    on_dup = montecarlo._mixed_bins(dup, dup[1:-1:3].copy())
-    assert not np.any(on_dup)
-    above = montecarlo._mixed_bins(dup, np.nextafter(dup[1:-1:3], np.inf))
-    assert np.array_equal(np.flatnonzero(above), np.arange(3, dup.size - 1, 3))
-
-
 @pytest.mark.parametrize("on_track", [True, False], ids=["on_track", "cross_track"])
 def test_counting_a_batch_allocates_less_than_one_row(monkeypatch, on_track):
     # 2^20 users fill whole batches and reach the 2^16 KS edges. Every user
-    # sees the satellite, so the worker indexes into and compacts onto the
-    # run's own rows and adds to the shared counts in place; a bin count per
-    # batch alone would take 8 (2^16 + 1) bytes, more than a row. Cross-track,
-    # every exact value lies in a mixed KS bin, so none is compacted. Each
-    # batch is measured from its draw to the next, over the transform and
-    # the counting.
+    # sees the satellite, so the worker indexes into the run's own rows and
+    # adds to the shared counts in place; a bin count per batch alone would
+    # take 8 (2^16 + 1) bytes, more than a row. Each batch is measured from
+    # its draw to the next, over the transform and the counting.
     calls = []
     inner = montecarlo._uniform_batches
 
